@@ -15,9 +15,12 @@ def _parse_mu(text: str) -> tuple:
     if text.strip() == "":
         return ()
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(","))
+        mu = tuple(int(p) for p in text.replace(" ", "").split(","))
     except ValueError:
         raise click.UsageError("malformed content %r; expected comma-separated integers" % text)
+    if any(part < 0 for part in mu):
+        raise click.UsageError("content parts must be nonnegative, got %r" % text)
+    return mu
 
 
 @click.group()
@@ -83,6 +86,10 @@ def cmd_stat(word_text, stat_name, as_json):
               help="Load/store the coefficient memo table as JSON.")
 def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
     """Run a verification suite; exit status 0 iff every case passes."""
+    try:
+        verify.worker_count()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if memo_file and os.path.exists(memo_file):
         qengine._DEFAULT_TABLE.load(memo_file)
     names = list(verify.SUITES) if suite == "all" else [suite]

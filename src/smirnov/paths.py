@@ -12,12 +12,12 @@ word under phi in reversed order.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .words import EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, extract_maximal, insert_many
+from .words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, extract_maximal,
+                    insert_many, letter_content, set_sequences)
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,7 @@ class DecoratedLabelledDyckPath:
         return False
 
     def content(self) -> tuple:
-        if not self.labels:
-            return ()
-        mu = [0] * max(self.labels)
-        for lab in self.labels:
-            mu[lab - 1] += 1
-        return tuple(mu)
+        return letter_content(self.labels)
 
     def to_json(self) -> dict:
         return {"steps": self.steps, "labels": list(self.labels),
@@ -192,13 +187,7 @@ class AreaZeroDecoratedPath:
         return tuple(itertools.chain.from_iterable(labels for labels, _ in self.columns))
 
     def content(self) -> tuple:
-        labs = self.labels()
-        if not labs:
-            return ()
-        mu = [0] * max(labs)
-        for lab in labs:
-            mu[lab - 1] += 1
-        return tuple(mu)
+        return letter_content(self.labels())
 
     def rise_count(self) -> int:
         return sum(len(labels) - 1 for labels, _ in self.columns)
@@ -384,35 +373,15 @@ def unified_dinv(D: AreaZeroDecoratedPath) -> int:
 
 
 def enumerate_area0(mu: Sequence[int]) -> Iterator[AreaZeroDecoratedPath]:
-    """All area-0 decorated labelled paths with label content mu."""
-    counts = Counter()
-    for value, c in enumerate(mu, start=1):
-        if c:
-            counts[value] = c
-    if not counts:
-        yield EMPTY_PATH
-        return
+    """All area-0 decorated labelled paths with label content mu.
 
-    def columns(remaining: Counter):
-        if not remaining:
-            yield ()
-            return
-        values = sorted(remaining)
-        for size in range(1, len(values) + 1):
-            for subset in itertools.combinations(values, size):
-                nxt = remaining.copy()
-                for v in subset:
-                    nxt[v] -= 1
-                    if nxt[v] == 0:
-                        del nxt[v]
-                for rest in columns(nxt):
-                    yield (subset,) + rest
-
-    for seq in columns(counts):
-        for flags in itertools.product((False, True), repeat=len(seq) - 1):
-            try:
-                yield AreaZeroDecoratedPath(
-                    tuple((labels, flag)
-                          for labels, flag in zip(seq, (False,) + flags)))
-            except ValueError:
-                continue  # non-contractible valley decoration
+    A column after the first may carry the valley decoration exactly when the
+    valley is contractible: its predecessor has two or more labels or ends below
+    the column's first label.
+    """
+    for seq in set_sequences(mu):
+        options = [(False,)]
+        for prev, col in zip(seq, seq[1:]):
+            options.append((False, True) if len(prev) >= 2 or prev[-1] < col[0] else (False,))
+        for flags in itertools.product(*options):
+            yield AreaZeroDecoratedPath(tuple(zip(seq, flags)))

@@ -9,7 +9,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .qengine import QPolynomial
 from .stats import sminv_count
-from .words import SegmentedSmirnovWord, enumerate_words_by_stat
+from .words import SegmentedSmirnovWord, enumerate_words_by_stat, letter_content, words_of_length
 
 
 def thick_positions(w: SegmentedSmirnovWord) -> frozenset:
@@ -155,20 +155,10 @@ def direct_monomial_sum(n: int, k: int, l: int, bound: int) -> Dict[tuple, QPoly
     """Sum of q^sminv(w) x^w over all words with n letters <= bound, k ascents,
     l descents; computed by direct enumeration, independent of the expansion."""
     out: Dict[tuple, QPolynomial] = {}
-    from .words import compositions_of
-
-    shapes = list(compositions_of(n))
-    for letters in itertools.product(range(1, bound + 1), repeat=n):
-        for shape in shapes:
-            try:
-                w = SegmentedSmirnovWord(letters, shape)
-            except ValueError:
-                continue
-            if len(w.ascent_positions()) != k or len(w.descent_positions()) != l:
-                continue
-            exps = [0] * bound
-            for x in letters:
-                exps[x - 1] += 1
-            key = tuple(exps)
-            out[key] = out.get(key, QPolynomial.zero()) + QPolynomial.q_power(sminv_count(w))
+    for w in words_of_length(n, bound):
+        if len(w.ascent_positions()) != k or len(w.descent_positions()) != l:
+            continue
+        content = letter_content(w.letters)
+        key = content + (0,) * (bound - len(content))
+        out[key] = out.get(key, QPolynomial.zero()) + QPolynomial.q_power(sminv_count(w))
     return {e: p for e, p in out.items() if p}

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import SegmentedSmirnovWord, classify
+from .words import SegmentedSmirnovWord, classify, letter_content, set_sequences
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,7 @@ class OrderedMultisetPartition:
         return len(self.blocks)
 
     def content(self) -> tuple:
-        flat = [x for blk in self.blocks for x in blk]
-        if not flat:
-            return ()
-        mu = [0] * max(flat)
-        for x in flat:
-            mu[x - 1] += 1
-        return tuple(mu)
+        return letter_content([x for blk in self.blocks for x in blk])
 
     def require_set_blocks(self) -> None:
         for blk in self.blocks:
@@ -201,29 +195,6 @@ def omp_dinv(p: OrderedMultisetPartition) -> int:
 def enumerate_omp(mu: Sequence[int], r: int = None):
     """Ordered set partitions of the multiset with content mu (blocks are sets);
     optionally restricted to r blocks."""
-    from collections import Counter
-    from itertools import combinations
-
-    counts = Counter()
-    for value, c in enumerate(mu, start=1):
-        if c:
-            counts[value] = c
-
-    def rec(remaining: Counter):
-        if not remaining:
-            yield ()
-            return
-        values = sorted(remaining)
-        for size in range(1, len(values) + 1):
-            for subset in combinations(values, size):
-                nxt = remaining.copy()
-                for v in subset:
-                    nxt[v] -= 1
-                    if nxt[v] == 0:
-                        del nxt[v]
-                for rest in rec(nxt):
-                    yield (subset,) + rest
-
-    for blocks in rec(counts):
+    for blocks in set_sequences(mu):
         if r is None or len(blocks) == r:
             yield OrderedMultisetPartition(blocks)

@@ -18,8 +18,8 @@ from .qengine import (QPolynomial, enumerative_q_sum, q_binomial, sf_h_coefficie
                       standard_q_count)
 from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
                     sdinv_count, sminv, sminv_count)
-from .words import (SegmentedSmirnovWord, compositions_of, enumerate_words, insert_many,
-                    partitions_of)
+from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
+                    shapes_for, words_of_length)
 
 SUITES = ("main-theorem", "equidistribution", "bijection", "insertion-lemmas",
           "quasisym", "models")
@@ -63,15 +63,21 @@ class VerificationReport:
         }
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Worker processes from SMIRNOV_THREADS (default 1); anything but a positive
+    integer is rejected."""
+    raw = os.environ.get("SMIRNOV_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SMIRNOV_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError("SMIRNOV_THREADS must be a positive integer, got %r" % raw)
+    return workers
 
 
 def _run_cases(fn: Callable, arglist: Sequence) -> List[CaseResult]:
-    workers = _worker_count()
+    workers = worker_count()
     if workers > 1 and len(arglist) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, arglist))
@@ -291,14 +297,8 @@ def suite_bijection(n_max: int = 5) -> List[CaseResult]:
 def _random_word(rng: random.Random, n_max: int) -> SegmentedSmirnovWord:
     n = rng.randint(2, n_max)
     alphabet = rng.randint(2, max(2, n - 1))
-    while True:
-        letters = tuple(rng.randint(1, alphabet) for _ in range(n))
-        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
-        shape = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-        try:
-            return SegmentedSmirnovWord(letters, shape)
-        except ValueError:
-            continue
+    letters = tuple(rng.randint(1, alphabet) for _ in range(n))
+    return SegmentedSmirnovWord(letters, rng.choice(list(shapes_for(letters))))
 
 
 def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
@@ -390,42 +390,30 @@ def _case_expansion(args: tuple) -> CaseResult:
 def _case_standardization(args: tuple) -> CaseResult:
     n, bound = args
     key = "standardization n=%d bound=%d" % (n, bound)
-    shapes = list(compositions_of(n))
-    for letters in itertools.product(range(1, bound + 1), repeat=n):
-        for shape in shapes:
-            try:
-                w = SegmentedSmirnovWord(letters, shape)
-            except ValueError:
-                continue
-            sigma = quasisym.standardize(w)
-            if sorted(sigma.letters) != list(range(1, n + 1)) or sigma.shape != w.shape:
-                return CaseResult(key, False, "st(%s) = %s is not a segmented permutation"
-                                  % (w, sigma))
-            if (w.ascent_positions() != sigma.ascent_positions()
-                    or w.descent_positions() != sigma.descent_positions()
-                    or sminv(w).pair_set() != sminv(sigma).pair_set()):
-                return CaseResult(key, False, "st does not preserve statistics on %s" % w)
+    for w in words_of_length(n, bound):
+        sigma = quasisym.standardize(w)
+        if sorted(sigma.letters) != list(range(1, n + 1)) or sigma.shape != w.shape:
+            return CaseResult(key, False, "st(%s) = %s is not a segmented permutation"
+                              % (w, sigma))
+        if (w.ascent_positions() != sigma.ascent_positions()
+                or w.descent_positions() != sigma.descent_positions()
+                or sminv(w).pair_set() != sminv(sigma).pair_set()):
+            return CaseResult(key, False, "st does not preserve statistics on %s" % w)
     return CaseResult(key, True)
 
 
 def _case_fiber(n: int) -> CaseResult:
     key = "fiber n=%d" % n
     sigmas = list(enumerate_words((1,) * n))
-    shapes = list(compositions_of(n))
     by_shape: dict = {}
     for sigma in sigmas:
         by_shape.setdefault(sigma.shape, []).append(sigma)
-    for letters in itertools.product(range(1, n + 1), repeat=n):
-        for shape in shapes:
-            try:
-                w = SegmentedSmirnovWord(letters, shape)
-            except ValueError:
-                continue
-            sigma = quasisym.standardize(w)
-            for cand in by_shape.get(shape, ()):
-                if quasisym.fiber_condition(cand, w) != (cand == sigma):
-                    return CaseResult(key, False,
-                                      "fiber condition disagrees for w=%s sigma=%s" % (w, cand))
+    for w in words_of_length(n, n):
+        sigma = quasisym.standardize(w)
+        for cand in by_shape.get(w.shape, ()):
+            if quasisym.fiber_condition(cand, w) != (cand == sigma):
+                return CaseResult(key, False,
+                                  "fiber condition disagrees for w=%s sigma=%s" % (w, cand))
     return CaseResult(key, True)
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from sympy.utilities.iterables import multiset_permutations
-
 INSERTION_KINDS = ("peak", "double_fall", "double_rise", "singleton")
 
 
@@ -80,13 +78,7 @@ class SegmentedSmirnovWord:
         return frozenset(out)
 
     def content(self) -> tuple:
-        """Weak composition: entry i-1 is the multiplicity of letter i; trailing zeros trimmed."""
-        if not self.letters:
-            return ()
-        mu = [0] * max(self.letters)
-        for letter in self.letters:
-            mu[letter - 1] += 1
-        return tuple(mu)
+        return letter_content(self.letters)
 
     def ascent_positions(self) -> frozenset:
         """1-based i with w_{i+1} > w_i inside one block."""
@@ -115,6 +107,14 @@ class SegmentedSmirnovWord:
 
 
 EMPTY_WORD = SegmentedSmirnovWord((), ())
+
+
+def letter_content(letters: Sequence[int]) -> tuple:
+    """Weak composition: entry i-1 is the multiplicity of letter i; trailing zeros trimmed."""
+    mu = [0] * max(letters, default=0)
+    for letter in letters:
+        mu[letter - 1] += 1
+    return tuple(mu)
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,6 @@ def classify(w: SegmentedSmirnovWord) -> PositionProfile:
                            w.ascent_positions(), w.descent_positions())
 
 
-def compositions_of(n: int) -> Iterator[tuple]:
-    """All compositions of n in lexicographic order; () for n = 0."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions_of(n - first):
-            yield (first,) + rest
-
-
 def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, parts weakly decreasing."""
     def rec(remaining, cap):
@@ -216,23 +206,76 @@ def _trim(mu: Sequence[int]) -> tuple:
     return tuple(mu)
 
 
+def _arrangements(mu: tuple) -> Iterator[tuple]:
+    """Distinct letter sequences of content mu in lexicographic order (next-permutation)."""
+    letters = [value for value, count in enumerate(mu, start=1) for _ in range(count)]
+    while True:
+        yield tuple(letters)
+        i = len(letters) - 2
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(letters) - 1
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1:] = reversed(letters[i + 1:])
+
+
+def shapes_for(letters: Sequence[int]) -> Iterator[tuple]:
+    """Every shape making letters a segmented Smirnov word, in lexicographic order.
+
+    A shape is valid exactly when it cuts between every pair of equal adjacent
+    letters; every other gap is free.  Offering a cut before no cut at each gap
+    yields the compositions in lexicographic order.
+    """
+    if not letters:
+        yield ()
+        return
+    gaps = [(True,) if a == b else (True, False) for a, b in zip(letters, letters[1:])]
+    for cuts in itertools.product(*gaps):
+        shape, run = [], 1
+        for cut in cuts:
+            if cut:
+                shape.append(run)
+                run = 1
+            else:
+                run += 1
+        shape.append(run)
+        yield tuple(shape)
+
+
 def enumerate_words(mu: Sequence[int]) -> Iterator[SegmentedSmirnovWord]:
     """All segmented Smirnov words of content mu, lexicographic by letters then shape."""
-    mu = _trim(mu)
-    n = sum(mu)
-    if n == 0:
-        yield EMPTY_WORD
+    for letters in _arrangements(_trim(mu)):
+        for shape in shapes_for(letters):
+            yield SegmentedSmirnovWord(letters, shape)
+
+
+def words_of_length(n: int, bound: int) -> Iterator[SegmentedSmirnovWord]:
+    """All segmented Smirnov words with n letters from 1..bound, lexicographic by
+    letters then shape."""
+    for letters in itertools.product(range(1, bound + 1), repeat=n):
+        for shape in shapes_for(letters):
+            yield SegmentedSmirnovWord(letters, shape)
+
+
+def set_sequences(mu: Sequence[int]) -> Iterator[tuple]:
+    """Sequences of nonempty sets (sorted tuples) whose multiset union has content mu,
+    ordered by the size of the first set, then its letters, then the rest likewise."""
+    counts = _trim(mu)
+    values = [value for value, count in enumerate(counts, start=1) if count]
+    if not values:
+        yield ()
         return
-    multiset = []
-    for value, count in enumerate(mu, start=1):
-        multiset.extend([value] * count)
-    for perm in multiset_permutations(multiset):
-        letters = tuple(perm)
-        for shape in compositions_of(n):
-            try:
-                yield SegmentedSmirnovWord(letters, shape)
-            except ValueError:
-                continue
+    for size in range(1, len(values) + 1):
+        for subset in itertools.combinations(values, size):
+            rest = list(counts)
+            for value in subset:
+                rest[value - 1] -= 1
+            for tail in set_sequences(rest):
+                yield (subset,) + tail
 
 
 def enumerate_words_by_stat(mu: Sequence[int], k: int, l: int) -> Iterator[SegmentedSmirnovWord]:

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from smirnov.cli import main
@@ -39,6 +40,13 @@ class TestEnumerate:
         result = run("enumerate", "--mu", "2,x")
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("kind", ["words", "paths"])
+    def test_negative_mu_is_usage_error(self, kind):
+        result = run("enumerate", "--mu", "1,-1", "--kind", kind)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "nonnegative" in result.output
+
 
 class TestStat:
     def test_sminv_text(self):
@@ -71,6 +79,14 @@ class TestVerify:
         reports = json.loads(result.output)
         assert reports[0]["suite"] == "main-theorem"
         assert reports[0]["failed"] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_usage_error(self, value):
+        result = CliRunner().invoke(main, ["verify", "--suite", "models", "--n-max", "2"],
+                                    env={"SMIRNOV_THREADS": value})
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "SMIRNOV_THREADS" in result.output and repr(value) in result.output
 
     def test_memo_file_round_trip(self, tmp_path):
         memo = str(tmp_path / "memo.json")

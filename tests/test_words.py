@@ -2,15 +2,19 @@
 and the maximal-letter insertion/extraction machinery."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify, compositions_of,
-                           delete_occurrence, enumerate_words, enumerate_words_by_stat,
-                           extract_maximal, insert_many, insert_maximal, parse_word,
-                           partitions_of)
+import smirnov
+from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify, delete_occurrence,
+                           enumerate_words, enumerate_words_by_stat, extract_maximal,
+                           insert_many, insert_maximal, parse_word, partitions_of,
+                           words_of_length)
 
 
 @st.composite
@@ -105,10 +109,6 @@ class TestClassify:
 
 
 class TestEnumeration:
-    def test_compositions(self):
-        assert list(compositions_of(0)) == [()]
-        assert list(compositions_of(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-
     def test_partitions(self):
         assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert list(partitions_of(0)) == [()]
@@ -138,6 +138,58 @@ class TestEnumeration:
             k = len(w.ascent_positions())
             l = len(w.descent_positions())
             assert len(w.shape) == w.n - k - l
+
+
+def _brute_force(letter_sequences, n):
+    """Every (letters, composition) pair kept by the validating constructor, in
+    lexicographic order of letters then shape."""
+    shapes = sorted(tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+                    for r in range(n) for cuts in itertools.combinations(range(1, n), r))
+    out = []
+    for letters in letter_sequences:
+        for shape in shapes or [()]:
+            try:
+                out.append(SegmentedSmirnovWord(letters, shape))
+            except ValueError:
+                continue
+    return out
+
+
+class TestDirectGenerator:
+    """The direct generators against naive generate-and-filter enumeration."""
+
+    def test_enumerate_words_matches_brute_force(self):
+        contents = set()
+        for n in range(7):
+            # every composition, and every weak composition with at most three parts
+            for length in range(n + 1):
+                contents.update(mu for mu in itertools.product(range(1, n + 1), repeat=length)
+                                if sum(mu) == n)
+            for length in range(1, 4):
+                contents.update(mu for mu in itertools.product(range(n + 1), repeat=length)
+                                if sum(mu) == n)
+        assert (0, 2, 1) in contents and (1, 0, 0) in contents and (1,) * 6 in contents
+        for mu in sorted(contents):
+            multiset = [v for v, c in enumerate(mu, start=1) for _ in range(c)]
+            arrangements = sorted(set(itertools.permutations(multiset)))
+            assert list(enumerate_words(mu)) == _brute_force(arrangements, sum(mu)), mu
+
+    def test_words_of_length_matches_brute_force(self):
+        for n in range(6):
+            for bound in range(1, 5):
+                letters = itertools.product(range(1, bound + 1), repeat=n)
+                assert list(words_of_length(n, bound)) == _brute_force(letters, n), (n, bound)
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smirnov.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, smirnov; "
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'sympy']; "
+                "assert not loaded, loaded")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestInsertion:
