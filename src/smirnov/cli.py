@@ -23,6 +23,15 @@ def _parse_mu(text: str) -> tuple:
     return mu
 
 
+def _load_memo(memo_file) -> None:
+    """Merge an existing --memo-file into the default table; a bad file is a usage error."""
+    if memo_file and os.path.exists(memo_file):
+        try:
+            qengine._DEFAULT_TABLE.load(memo_file)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+
+
 @click.group()
 def main():
     """Segmented Smirnov words: enumeration, q-statistics, and verification."""
@@ -90,8 +99,7 @@ def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
         verify.worker_count()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if memo_file and os.path.exists(memo_file):
-        qengine._DEFAULT_TABLE.load(memo_file)
+    _load_memo(memo_file)
     names = list(verify.SUITES) if suite == "all" else [suite]
     reports = []
     for name in names:
@@ -144,8 +152,7 @@ def cmd_table(kind, n, fmt, memo_file):
     """Print the coefficient table (h-coeff) or the Hilbert-series table."""
     if n < 0:
         raise click.UsageError("n must be nonnegative")
-    if memo_file and os.path.exists(memo_file):
-        qengine._DEFAULT_TABLE.load(memo_file)
+    _load_memo(memo_file)
     rows = []
     hilbert = None
     if kind == "hilbert":

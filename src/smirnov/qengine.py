@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
+import os
+import threading
 from typing import Iterable, Sequence
 
 
 class QPolynomial:
-    """A polynomial in q with nonnegative integer coefficients, dense ascending."""
+    """A polynomial in q with nonnegative integer coefficients, dense ascending.
+
+    The constructor checks and trims its input.  Sums and products of trimmed
+    nonnegative polynomials are again trimmed and nonnegative, so `+`, `*` and
+    `times_q_power` build their results with the unchecked `_poly`.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -31,11 +39,11 @@ class QPolynomial:
 
     @classmethod
     def zero(cls) -> "QPolynomial":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "QPolynomial":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def q_power(cls, k: int) -> "QPolynomial":
@@ -62,27 +70,32 @@ class QPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
+        return _poly(tuple(map(operator.add, a, b)) + a[len(b):])
 
     def __mul__(self, other):
         if isinstance(other, int):
             return QPolynomial(c * other for c in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        # Kronecker substitution q -> 2^(8w): a product coefficient is a sum of
+        # at most min(len) terms, each below 2^(bits(max a) + bits(max b)), so it
+        # fits in a w-byte slot and no slot carries into the next one.
+        w = (max(a).bit_length() + max(b).bit_length()
+             + min(len(a), len(b)).bit_length() + 7) >> 3
+        x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+        y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
+        size = w * (len(a) + len(b) - 1)
+        data = (x * y).to_bytes(size, "little")
+        return _poly(tuple([int.from_bytes(data[i:i + w], "little")
+                            for i in range(0, size, w)]))
 
     __rmul__ = __mul__
 
     def times_q_power(self, k: int) -> "QPolynomial":
-        if not self.coeffs:
+        if not self.coeffs or k <= 0:
             return self
-        return QPolynomial((0,) * k + self.coeffs)
+        return _poly((0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -115,21 +128,58 @@ class QPolynomial:
         return cls(int(c) for c in data["coeffs"])
 
 
+def _poly(coeffs: tuple) -> QPolynomial:
+    """A QPolynomial from a tuple already known to be trimmed and nonnegative."""
+    p = object.__new__(QPolynomial)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+_ZERO = _poly(())
+_ONE = _poly((1,))
+
+
+class _FillState(threading.local):
+    active = False
+
+
+_fill_state = _FillState()
+
+
+def _fill_bottom_up(fn, cells: Iterable[tuple]) -> None:
+    """Call the memoized recursion `fn` on `cells`, given predecessors first.
+
+    Each of those calls then finds the cells it recurses into already cached,
+    so the stack stays a few frames deep at any size.  Calls made while a fill
+    runs in this thread skip their own fill: their predecessors are cached.
+    """
+    if _fill_state.active:
+        return
+    _fill_state.active = True
+    try:
+        for cell in cells:
+            fn(*cell)
+    finally:
+        _fill_state.active = False
+
+
 @functools.lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> QPolynomial:
     """Gaussian binomial [a choose b]_q; zero when b < 0 or b > a (so for all a < 0)."""
     if b < 0 or b > a:
-        return QPolynomial.zero()
-    if b == 0:
-        return QPolynomial.one()
+        return _ZERO
+    if b == 0 or b == a:
+        return _ONE
+    _fill_bottom_up(q_binomial, ((a2, b2) for a2 in range(2, a)
+                                 for b2 in range(max(1, b - (a - a2)), min(b, a2 - 1) + 1)))
     return q_binomial(a - 1, b - 1) + q_binomial(a - 1, b).times_q_power(b)
 
 
 def q_int(n: int) -> QPolynomial:
     """[n]_q = 1 + q + ... + q^(n-1); zero for n <= 0."""
     if n <= 0:
-        return QPolynomial.zero()
-    return QPolynomial((1,) * n)
+        return _ZERO
+    return _poly((1,) * n)
 
 
 def _binom2(x: int) -> int:
@@ -145,22 +195,28 @@ def _canonical_mu(mu: Sequence[int]) -> tuple:
     return tuple(parts)
 
 
+MEMO_VERSION = 2
+
+
 class SfCoefficientTable:
     """Memoized map (n, k, l, sorted mu) -> QPolynomial via the coefficient recursion.
 
     The recursion strips the j occurrences of the largest letter (j = last
-    positive part of mu) and sums over 0 <= r, a, i <= j; out-of-range
-    q-binomials vanish, so the loops run over the displayed limits verbatim.
+    positive part of mu) and sums over 0 <= r, a <= j the sub-coefficient
+    times the factor F(B, j, r, a), itself a sum over 0 <= i <= j of four
+    q-binomials (`factor`).  F does not depend on mu or on the sub-problem, so
+    each table caches it in `factors` beside `memo`.
     """
 
     def __init__(self):
         self.memo: dict = {}
+        self.factors: dict = {}
 
     def coefficient(self, n: int, k: int, l: int, mu: tuple) -> QPolynomial:
         if n == 0:
-            return QPolynomial.one() if (k, l) == (0, 0) else QPolynomial.zero()
+            return _ONE if (k, l) == (0, 0) else _ZERO
         if n < 0 or k < 0 or l < 0 or k + l >= n:
-            return QPolynomial.zero()
+            return _ZERO
         key = (n, k, l, mu)
         hit = self.memo.get(key)
         if hit is not None:
@@ -168,46 +224,108 @@ class SfCoefficientTable:
         j = mu[-1]  # multiplicity of the largest letter (mu sorted descending)
         mu_minus = mu[:-1]
         B = n - k - l
-        total = QPolynomial.zero()
+        total = _ZERO
         for r in range(j + 1):
             for a in range(j + 1):
-                for i in range(j + 1):
-                    sub = self.coefficient(n - j, k - r, l - a, mu_minus)
-                    if not sub:
-                        continue
-                    d = j - r - a + i
-                    factor = q_binomial(B, d)
-                    if not factor:
-                        continue
-                    factor = factor * q_binomial(B - d, a - i).times_q_power(_binom2(a - i))
-                    if not factor:
-                        continue
-                    factor = factor * q_binomial(B - d, r - i).times_q_power(_binom2(r - i))
-                    if not factor:
-                        continue
-                    if i:  # for i = 0 the peak factor is the empty product,
-                        # even when the intermediate word has no separators
-                        factor = factor * q_binomial(B - (j - r - a) - 1, i)
-                    if not factor:
-                        continue
-                    total = total + factor * sub
+                sub = self.coefficient(n - j, k - r, l - a, mu_minus)
+                if sub:
+                    total = total + self.factor(B, j, r, a) * sub
         self.memo[key] = total
         return total
 
+    def factor(self, B: int, j: int, r: int, a: int) -> QPolynomial:
+        """F(B, j, r, a): the sum over i of the four-binomial product.
+
+        Terms with i > min(r, a) vanish, because a q-binomial with a negative
+        lower index is zero.
+        """
+        key = (B, j, r, a)
+        F = self.factors.get(key)
+        if F is not None:
+            return F
+        F = _ZERO
+        for i in range(min(r, a) + 1):
+            d = j - r - a + i
+            term = (q_binomial(B, d)
+                    * q_binomial(B - d, a - i).times_q_power(_binom2(a - i))
+                    * q_binomial(B - d, r - i).times_q_power(_binom2(r - i)))
+            if i:  # for i = 0 the peak factor is the empty product,
+                # even when the intermediate word has no separators
+                term = term * q_binomial(B - (j - r - a) - 1, i)
+            F = F + term
+        self.factors[key] = F
+        return F
+
     def dump(self, path: str) -> None:
-        data = [
-            {"n": n, "k": k, "l": l, "mu": list(mu), "value": poly.to_json()}
-            for (n, k, l, mu), poly in self.memo.items()
-        ]
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        """Write the memo atomically: a temporary file in the same directory,
+        then a rename over `path`.  The file records MEMO_VERSION and the
+        SHA-256 of its compact entries list, which `load` checks."""
+        import tempfile
+
+        entries = json.dumps([[n, k, l, list(mu), list(map(str, poly.coeffs))]
+                              for (n, k, l, mu), poly in self.memo.items()],
+                             separators=(",", ":"))
+        digest = _digest(entries)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".memo-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write('{"version":%d,"sha256":"%s","entries":' % (MEMO_VERSION, digest))
+                fh.write(entries)
+                fh.write("}")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, path: str) -> None:
-        with open(path) as fh:
-            data = json.load(fh)
-        for entry in data:
-            key = (entry["n"], entry["k"], entry["l"], tuple(entry["mu"]))
-            self.memo[key] = QPolynomial.from_json(entry["value"])
+        """Merge a file written by `dump` into the memo.
+
+        Raises ValueError naming `path` if the file is not valid JSON, has
+        another version, fails its checksum, or holds an entry whose key is
+        not canonical (mu positive, sorted descending and summing to n;
+        k, l >= 0 and k + l < n) or whose value is not a trimmed list of
+        nonnegative integers written as strings.  Nothing is merged then.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                self.memo.update(_memo_entries(json.loads(fh.read())))
+        except ValueError as exc:
+            raise ValueError("memo file %s: %s" % (path, exc)) from None
+
+
+def _digest(entries: str) -> str:
+    import hashlib  # here, not at the top: loading OpenSSL adds ~4 ms to `import smirnov`
+
+    return hashlib.sha256(entries.encode()).hexdigest()
+
+
+def _memo_entries(data) -> dict:
+    """The checked {key: QPolynomial} of a parsed memo file (see `load`)."""
+    if not isinstance(data, dict) or data.get("version") != MEMO_VERSION:
+        raise ValueError("not a version-%d memo" % MEMO_VERSION)
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError("no entries list")
+    if data.get("sha256") != _digest(json.dumps(entries, separators=(",", ":"))):
+        raise ValueError("checksum mismatch: the entries were changed after they were written")
+    memo = {}
+    for entry in entries:
+        if not (type(entry) is list and len(entry) == 5
+                and set(map(type, entry[:3])) == {int}
+                and type(entry[3]) is list and set(map(type, entry[3])) <= {int}
+                and type(entry[4]) is list and set(map(type, entry[4])) <= {str}):
+            raise ValueError("malformed entry %.80s" % json.dumps(entry))
+        n, k, l, mu, coeffs = entry
+        if (min(mu, default=1) < 1 or mu != sorted(mu, reverse=True)
+                or sum(mu) != n or k < 0 or l < 0 or k + l >= n):
+            raise ValueError("non-canonical key n=%d k=%d l=%d mu=%r" % (n, k, l, mu))
+        values = tuple(map(int, coeffs))
+        if values and (min(values) < 0 or values[-1] == 0):
+            raise ValueError("value of n=%d k=%d l=%d mu=%r is not a trimmed list of "
+                             "nonnegative integers" % (n, k, l, mu))
+        memo[(n, k, l, tuple(mu))] = _poly(values)
+    return memo
 
 
 _DEFAULT_TABLE = SfCoefficientTable()
@@ -237,9 +355,13 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
 def standard_q_count(n: int, k: int, l: int) -> QPolynomial:
     """SW_q(1^n, k, l) by the standard-case recursion; zero when k+l >= n > 0."""
     if n == 0:
-        return QPolynomial.one() if (k, l) == (0, 0) else QPolynomial.zero()
+        return _ONE if (k, l) == (0, 0) else _ZERO
     if n < 0 or k < 0 or l < 0 or k + l >= n:
-        return QPolynomial.zero()
+        return _ZERO
+    _fill_bottom_up(standard_q_count, (
+        (m, k2, l2) for m in range(1, n)
+        for k2 in range(max(0, k - (n - m)), k + 1)
+        for l2 in range(max(0, l - (n - m)), min(l, m - 1 - k2) + 1)))
     rest = (standard_q_count(n - 1, k, l)
             + standard_q_count(n - 1, k, l - 1)
             + standard_q_count(n - 1, k - 1, l)
@@ -263,7 +385,7 @@ def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") ->
         v = fn(w)
         counts[v] = counts.get(v, 0) + 1
     if not counts:
-        return QPolynomial.zero()
+        return _ZERO
     out = [0] * (max(counts) + 1)
     for v, c in counts.items():
         out[v] = c

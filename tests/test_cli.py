@@ -116,3 +116,31 @@ class TestTable:
     def test_negative_n_rejected(self):
         result = run("table", "--kind", "hilbert", "--n", "-1")
         assert result.exit_code != 0
+
+    def test_edited_memo_is_usage_error(self, tmp_path):
+        # a hand-edited entry used to be printed as the answer, with exit 0
+        memo = str(tmp_path / "memo.json")
+        assert run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo).exit_code == 0
+        with open(memo) as fh:
+            data = json.load(fh)
+        for entry in data["entries"]:
+            if entry[:4] == [3, 1, 1, [1, 1, 1]]:
+                entry[4] = ["99"]
+        with open(memo, "w") as fh:
+            json.dump(data, fh)
+        result = run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "checksum" in result.output and memo in result.output
+        assert "99" not in result.output
+
+    @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"],
+                                         ["verify", "--suite", "main-theorem", "--n-max", "2"]])
+    def test_malformed_memo_is_usage_error(self, tmp_path, command):
+        # this file used to end in a raw KeyError traceback
+        memo = tmp_path / "memo.json"
+        memo.write_text('[{"n": 3}]')
+        result = run(*command, "--memo-file", str(memo))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert str(memo) in result.output

@@ -1,14 +1,117 @@
 """Unit tests for the exact q-polynomial engine and the coefficient recursion."""
 
+import functools
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smirnov
+from smirnov import qengine
 from smirnov.qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum,
                              hilbert_table, q_binomial, q_int, sf_h_coefficient,
                              standard_q_count)
+from smirnov.words import partitions_of
 
 polys = st.lists(st.integers(min_value=0, max_value=50), max_size=6).map(QPolynomial)
+# long, wide coefficient lists with many zeros, including interior ones
+wide_lists = st.lists(st.one_of(st.just(0), st.integers(min_value=0, max_value=9),
+                                st.integers(min_value=0, max_value=2 ** 200)),
+                      max_size=300)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _naive_product(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _naive_sum(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(out)
+
+
+# --- the coefficient recursion as first written: an r, a, i triple loop over
+# plain tuples, with schoolbook products and its own q-binomials ---
+
+@functools.lru_cache(maxsize=None)
+def _old_q_binomial(a, b):
+    if b < 0 or b > a:
+        return ()
+    if b == 0:
+        return (1,)
+    shifted = _old_q_binomial(a - 1, b)
+    shifted = (0,) * b + shifted if shifted else ()
+    return _naive_sum(_old_q_binomial(a - 1, b - 1), shifted)
+
+
+def _old_shift(p, k):
+    return (0,) * k + p if p else p
+
+
+def _old_coefficient(n, k, l, mu, memo):
+    if n == 0:
+        return (1,) if (k, l) == (0, 0) else ()
+    if n < 0 or k < 0 or l < 0 or k + l >= n:
+        return ()
+    key = (n, k, l, mu)
+    if key in memo:
+        return memo[key]
+    j = mu[-1]
+    mu_minus = mu[:-1]
+    B = n - k - l
+    total = ()
+    for r in range(j + 1):
+        for a in range(j + 1):
+            for i in range(j + 1):
+                sub = _old_coefficient(n - j, k - r, l - a, mu_minus, memo)
+                if not sub:
+                    continue
+                d = j - r - a + i
+                factor = _old_q_binomial(B, d)
+                factor = _naive_product(factor, _old_shift(_old_q_binomial(B - d, a - i),
+                                                           (a - i) * (a - i - 1) // 2))
+                factor = _naive_product(factor, _old_shift(_old_q_binomial(B - d, r - i),
+                                                           (r - i) * (r - i - 1) // 2))
+                if i:
+                    factor = _naive_product(factor, _old_q_binomial(B - (j - r - a) - 1, i))
+                total = _naive_sum(total, _naive_product(factor, sub))
+    memo[key] = total
+    return total
+
+
+def _smirnov_word_count(mu):
+    """|SW(mu)| by a transfer DP over letter sequences: each gap between unequal
+    adjacent letters may be cut or not, a gap between equal ones must be cut."""
+    @functools.lru_cache(maxsize=None)
+    def tail(rest, last):
+        if not any(rest):
+            return 1
+        total = 0
+        for x, m in enumerate(rest):
+            if m:
+                weight = 1 if x == last or last is None else 2
+                total += weight * tail(rest[:x] + (m - 1,) + rest[x + 1:], x)
+        return total
+    return tail(tuple(mu), None)
 
 
 class TestQPolynomial:
@@ -61,6 +164,28 @@ class TestQPolynomial:
     def test_distributivity(self, a, b, c):
         assert a * (b + c) == a * b + a * c
 
+    @settings(max_examples=60, deadline=None)
+    @given(wide_lists, wide_lists)
+    @example([], [3, 0, 5])
+    @example([0, 0, 0], [2 ** 200])
+    @example([2 ** 200] * 300, [2 ** 200 - 1, 0, 0, 7])
+    def test_product_matches_naive_convolution(self, a, b):
+        product = QPolynomial(a) * QPolynomial(b)
+        expected = QPolynomial(tuple(_naive_product(a, b)))
+        assert product.coeffs == _naive_product(a, b)
+        assert product == expected and hash(product) == hash(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_lists, wide_lists, st.integers(min_value=0, max_value=5))
+    @example([], [0, 0], 3)
+    def test_sum_and_shift_are_trimmed_and_match_validated(self, a, b, k):
+        total = QPolynomial(a) + QPolynomial(b)
+        expected = QPolynomial(tuple(_naive_sum(a, b)))
+        assert total.coeffs == _naive_sum(a, b)
+        assert total == expected and hash(total) == hash(expected)
+        shifted = QPolynomial(a).times_q_power(k)
+        assert shifted.coeffs == (_old_shift(_trim(a), k))
+
 
 class TestQBinomial:
     def test_fixtures(self):
@@ -82,6 +207,24 @@ class TestQBinomial:
         for b in range(a + 1):
             assert q_binomial(a, b) == q_binomial(a, a - b)
             assert q_binomial(a, b)(1) == math.comb(a, b)
+
+    def test_deep_arguments_need_no_deep_stack(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smirnov.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # Both recursions descend 150+ levels, past a limit of 100 frames.  The
+        # cell (n, 1, n - 2) is sum_i C(n, i + 2) q^i, an Eulerian number at q = 1;
+        # unlike (n, 0, 0), the q-factorial, it costs milliseconds at n = 150.
+        code = ("import math, sys\n"
+                "from smirnov.qengine import q_binomial, standard_q_count\n"
+                "sys.setrecursionlimit(100)\n"
+                "assert q_binomial(300, 2)(1) == math.comb(300, 2)\n"
+                "poly = standard_q_count(150, 1, 148)\n"
+                "assert poly.coeffs == tuple(math.comb(150, i + 2) for i in range(149))\n"
+                "assert poly(1) == 2 ** 150 - 151\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_q_int(self):
         assert q_int(4) == QPolynomial((1, 1, 1, 1))
@@ -133,6 +276,25 @@ class TestRecursion:
         fresh.load(path)
         assert fresh.memo == table.memo
 
+    def test_regrouped_recursion_matches_first_formula(self):
+        n = 8
+        table, memo = SfCoefficientTable(), {}
+        for mu in partitions_of(n):
+            at_one = 0
+            for k in range(n):
+                for l in range(n - k):
+                    poly = sf_h_coefficient(n, k, l, mu, table)
+                    assert poly.coeffs == _old_coefficient(n, k, l, mu, memo), (mu, k, l)
+                    at_one += poly(1)
+            assert at_one == _smirnov_word_count(mu), mu
+
+    def test_factors_live_on_the_table(self):
+        table = SfCoefficientTable()
+        sf_h_coefficient(5, 1, 1, (2, 2, 1), table)
+        assert table.factors
+        assert all(isinstance(v, QPolynomial) for v in table.factors.values())
+        assert not SfCoefficientTable().factors
+
     @pytest.mark.parametrize("n", range(7))
     def test_standard_matches_table(self, n):
         for k in range(n + 1):
@@ -161,3 +323,89 @@ class TestRecursion:
         assert table[(1, 1)] == QPolynomial((3, 1))
         assert table[(0, 2)] == 1
         assert set(table) == {(k, l) for k in range(3) for l in range(3 - k)}
+
+
+def _write_memo(path, entries, digest=None):
+    text = json.dumps(entries, separators=(",", ":"))
+    if digest is None:
+        digest = hashlib.sha256(text.encode()).hexdigest()
+    with open(path, "w") as fh:
+        fh.write('{"version": 2, "sha256": "%s", "entries": %s}' % (digest, text))
+
+
+class TestMemoFile:
+    def dumped(self, tmp_path):
+        table = SfCoefficientTable()
+        for k, l in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
+            sf_h_coefficient(3, k, l, (1, 1, 1), table)
+        path = str(tmp_path / "memo.json")
+        table.dump(path)
+        return table, path
+
+    def test_format_and_atomic_replace(self, tmp_path):
+        table, path = self.dumped(tmp_path)
+        with open(path) as fh:
+            data = json.load(fh)
+        assert data["version"] == qengine.MEMO_VERSION
+        text = json.dumps(data["entries"], separators=(",", ":"))
+        assert data["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        assert [3, 1, 1, [1, 1, 1], ["3", "1"]] in data["entries"]
+        assert os.listdir(tmp_path) == ["memo.json"]
+
+    def test_failed_dump_keeps_the_old_file(self, tmp_path, monkeypatch):
+        table, path = self.dumped(tmp_path)
+        with open(path) as fh:
+            before = fh.read()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(qengine.os, "replace", fail)
+        sf_h_coefficient(4, 1, 1, (2, 1, 1), table)
+        with pytest.raises(OSError):
+            table.dump(path)
+        with open(path) as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["memo.json"]
+
+    def test_edited_value_fails_checksum(self, tmp_path):
+        # the hand edit that used to be printed as the answer
+        _, path = self.dumped(tmp_path)
+        with open(path) as fh:
+            data = json.load(fh)
+        for entry in data["entries"]:
+            if entry[:4] == [3, 1, 1, [1, 1, 1]]:
+                entry[4] = ["99"]
+        _write_memo(path, data["entries"], data["sha256"])
+        fresh = SfCoefficientTable()
+        with pytest.raises(ValueError, match="memo file .*memo.json: checksum"):
+            fresh.load(path)
+        assert fresh.memo == {}
+
+    @pytest.mark.parametrize("text", ['[{"n": 3}]', "{", '{"version": 1, "entries": []}',
+                                      '{"version": 2, "sha256": "0", "entries": {}}'])
+    def test_malformed_file_is_one_value_error(self, tmp_path, text):
+        path = tmp_path / "memo.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="memo file .*memo.json"):
+            SfCoefficientTable().load(str(path))
+
+    @pytest.mark.parametrize("entry", [
+        [3, 1, 1, [1, 2], ["1"]],          # mu not sorted descending
+        [3, 1, 1, [2, 1, 0], ["1"]],       # zero part
+        [3, 1, 1, [2, 2], ["1"]],          # sum(mu) != n
+        [3, 2, 1, [1, 1, 1], ["1"]],       # k + l >= n
+        [3, -1, 1, [1, 1, 1], ["1"]],      # negative k
+        [3, 1, 1, [1, 1, 1], ["-3"]],      # negative coefficient
+        [3, 1, 1, [1, 1, 1], ["3", "0"]],  # untrimmed value
+        [3, 1, 1, [1, 1, 1], ["x"]],       # not an integer
+        [3, 1, 1, [1, 1, 1], [3]],         # number instead of decimal string
+        {"n": 3},                          # not an entry list
+        [3, 1, 1, [1, 1, 1]],              # no value
+    ])
+    def test_entries_are_checked_even_with_a_good_checksum(self, tmp_path, entry):
+        path = str(tmp_path / "memo.json")
+        _write_memo(path, [[3, 0, 0, [1, 1, 1], ["1", "2", "2", "1"]], entry])
+        fresh = SfCoefficientTable()
+        with pytest.raises(ValueError, match="memo file .*memo.json"):
+            fresh.load(path)
+        assert fresh.memo == {}
