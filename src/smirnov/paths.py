@@ -12,12 +12,13 @@ word under phi in reversed order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, extract_maximal,
-                    insert_many, letter_content, set_sequences)
+from .words import (SegmentedSmirnovWord, _from_blocks, _insert_blocks, _split_maximal,
+                    letter_content, set_sequences)
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,6 @@ class AreaZeroDecoratedPath:
     def valley_count(self) -> int:
         return sum(1 for _, flag in self.columns if flag)
 
-    def block_ranges(self) -> tuple:
-        """Runs of column indices (0-based, half-open) forming the path blocks."""
-        starts = [c for c, (_, flag) in enumerate(self.columns) if not flag]
-        starts.append(len(self.columns))
-        return tuple((starts[i], starts[i + 1]) for i in range(len(starts) - 1))
-
     def to_steps(self) -> DecoratedLabelledDyckPath:
         steps = []
         labels = []
@@ -241,129 +236,110 @@ def _as_steps(D) -> DecoratedLabelledDyckPath:
     return D
 
 
-def _apply_record(Dprime: AreaZeroDecoratedPath, rec: InsertionRecord) -> AreaZeroDecoratedPath:
-    """Replay one level of insertions (peaks, rises, falls, singletons) on a path."""
-    cols = [[list(labels), flag] for labels, flag in Dprime.columns]
-    nested = []
+def _path_blocks(cols: list) -> list:
+    """[labels, flag] columns grouped into path blocks, each started by an
+    undecorated column."""
+    blocks = []
     for col in cols:
-        if col[1] and nested:
-            nested[-1].append(col)
+        if col[1] and blocks:
+            blocks[-1].append(col)
         else:
-            nested.append([col])
-    bp = len(nested)
-    m = rec.m
-    for t in rec.peaks:
-        p = bp - t  # word separator t joins path blocks p, p+1
-        nested[p - 1][-1][0].append(m)
-        nested[p][0][1] = True
-    merged = []
-    for blk in nested:
-        if blk[0][1] and merged:
-            merged[-1].extend(blk)
-        else:
-            merged.append(blk)
-    b1 = len(merged)
-    for b in rec.rises:
-        merged[b1 - b][-1][0].append(m)
-    for b in rec.falls:
-        merged[b1 - b].append([[m], True])
-    out = []
-    for gp in range(b1 + 1):  # path gap gp corresponds to word gap b1 - gp
-        out.extend([[m], False] for _ in range(rec.gaps[b1 - gp]))
-        if gp < b1:
-            out.extend(merged[gp])
-    return AreaZeroDecoratedPath(tuple((tuple(labels), flag) for labels, flag in out))
-
-
-def _strip_record(D: AreaZeroDecoratedPath) -> tuple:
-    """Remove every occurrence of the maximal label; inverse of _apply_record."""
-    cols = [[list(labels), flag] for labels, flag in D.columns]
-    m = max(max(labels) for labels, _ in cols)
-    nested = []
-    for col in cols:
-        if col[1] and nested:
-            nested[-1].append(col)
-        else:
-            nested.append([col])
-    path_gaps = []
-    pending = 0
-    nonsing = []
-    removed = set()
-    for blk in nested:
-        if len(blk) == 1 and blk[0][0] == [m] and not blk[0][1]:
-            pending += 1
-            removed.add(id(blk[0]))
-        else:
-            path_gaps.append(pending)
-            pending = 0
-            nonsing.append(blk)
-    path_gaps.append(pending)
-    b1 = len(nonsing)
-    rises_p, falls_p, peak_cols = [], [], []
-    for p, blk in enumerate(nonsing, start=1):
-        if blk[-1][0] == [m] and blk[-1][1]:
-            falls_p.append(p)
-            removed.add(id(blk[-1]))
-            blk = blk[:-1]
-        if not blk:
-            raise ValueError("malformed path: block reduces to nothing at level %d" % m)
-        if blk[-1][0][-1] == m:
-            if len(blk[-1][0]) == 1:
-                raise ValueError("malformed path: bare maximal column inside a block")
-            rises_p.append(p)
-            blk[-1][0].pop()
-        for idx in range(len(blk) - 1):
-            col = blk[idx]
-            if col[0][-1] == m:
-                if len(col[0]) == 1:
-                    raise ValueError("malformed path: bare maximal column inside a block")
-                nxt = blk[idx + 1]
-                if not nxt[1]:
-                    raise ValueError("malformed path: interior maximal label not "
-                                     "followed by a decorated valley")
-                col[0].pop()
-                nxt[1] = False
-                peak_cols.append(id(col))
-    survivors = [col for col in cols if id(col) not in removed]
-    Dprime = AreaZeroDecoratedPath(tuple((tuple(labels), flag) for labels, flag in survivors))
-    # locate each peak column's block in the stripped path
-    ranges = Dprime.block_ranges()
-    bprime = len(ranges)
-    col_block = {}
-    for blk_idx, (lo, hi) in enumerate(ranges, start=1):
-        for c in range(lo, hi):
-            col_block[id(survivors[c])] = (blk_idx, c == hi - 1)
-    peaks = set()
-    for cid in peak_cols:
-        blk_idx, is_last = col_block[cid]
-        if not is_last:
-            raise ValueError("malformed path: peak label not atop a block-final column")
-        peaks.add(bprime - blk_idx)
-    rec = InsertionRecord(
-        m,
-        frozenset(peaks),
-        frozenset(b1 - p + 1 for p in rises_p),
-        frozenset(b1 - p + 1 for p in falls_p),
-        tuple(path_gaps[b1 - g] for g in range(b1 + 1)),
-    )
-    return Dprime, rec
+            blocks.append([col])
+    return blocks
 
 
 def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
-    """The insertion bijection from words to area-0 decorated labelled paths."""
-    if w.n == 0:
-        return EMPTY_PATH
-    wprime, rec = extract_maximal(w)
-    return _apply_record(phi(wprime), rec)
+    """The insertion bijection from words to area-0 decorated labelled paths.
+
+    Peels the maximal letter off the word's blocks until none is left, then
+    replays the levels, smallest letter first, on [labels, flag] columns.  Only
+    the result is validated, and the stack depth does not grow with the number
+    of levels.
+    """
+    levels = []
+    blocks = w.blocks
+    while blocks:
+        level, blocks = _split_maximal(blocks)
+        levels.append(level)
+    path = []  # path blocks, each a list of [labels, flag] columns
+    for m, peaks, rises, falls, gaps in reversed(levels):
+        bp = len(path)
+        for t in peaks:  # word separator t joins path blocks bp - t and bp - t + 1
+            path[bp - t - 1][-1][0].append(m)
+            path[bp - t][0][1] = True
+        if peaks:
+            path = _path_blocks([col for blk in path for col in blk])
+        b1 = len(path)
+        for b in rises:
+            path[b1 - b][-1][0].append(m)
+        for b in falls:
+            path[b1 - b].append([[m], True])
+        grown = []
+        for gp, blk in enumerate(path):  # path gap gp is word gap b1 - gp
+            grown.extend([[[m], False]] for _ in range(gaps[b1 - gp]))
+            grown.append(blk)
+        grown.extend([[[m], False]] for _ in range(gaps[0]))
+        path = grown
+    return AreaZeroDecoratedPath([col for blk in path for col in blk])
 
 
 def phi_inverse(D: AreaZeroDecoratedPath) -> SegmentedSmirnovWord:
-    """Inverse of phi: strip maximal labels level by level."""
-    if not D.columns:
-        return EMPTY_WORD
-    Dprime, rec = _strip_record(D)
-    wprime = phi_inverse(Dprime)
-    return insert_many(wprime, rec.m, rec.peaks, rec.rises, rec.falls, rec.gaps)
+    """Inverse of phi: strips the maximal label off [labels, flag] columns until
+    none is left, then replays the word insertions smallest letter first.  Only
+    the result is validated."""
+    cols = [[list(labels), flag] for labels, flag in D.columns]
+    levels = []
+    while cols:
+        m = max(labels[-1] for labels, _ in cols)
+        path_gaps = []
+        pending = 0
+        nonsing = []
+        for blk in _path_blocks(cols):
+            if len(blk) == 1 and blk[0][0] == [m] and not blk[0][1]:
+                pending += 1
+            else:
+                path_gaps.append(pending)
+                pending = 0
+                nonsing.append(blk)
+        path_gaps.append(pending)
+        b1 = len(nonsing)
+        rises, falls, peak_cols = set(), set(), []
+        cols = []
+        for p, blk in enumerate(nonsing, start=1):
+            if blk[-1][0] == [m] and blk[-1][1]:
+                falls.add(b1 - p + 1)
+                blk.pop()
+            if not blk:
+                raise ValueError("malformed path: block reduces to nothing at level %d" % m)
+            if blk[-1][0][-1] == m:
+                if len(blk[-1][0]) == 1:
+                    raise ValueError("malformed path: bare maximal column inside a block")
+                rises.add(b1 - p + 1)
+                blk[-1][0].pop()
+            for idx in range(len(blk) - 1):
+                col = blk[idx]
+                if col[0][-1] == m:
+                    if len(col[0]) == 1:
+                        raise ValueError("malformed path: bare maximal column inside a block")
+                    nxt = blk[idx + 1]
+                    if not nxt[1]:
+                        raise ValueError("malformed path: interior maximal label not "
+                                         "followed by a decorated valley")
+                    col[0].pop()
+                    nxt[1] = False
+                    peak_cols.append(len(cols) + idx)
+            cols.extend(blk)
+        starts = [c for c, col in enumerate(cols) if not col[1]]
+        peaks = set()
+        for c in peak_cols:
+            if c + 1 < len(cols) and cols[c + 1][1]:
+                raise ValueError("malformed path: peak label not atop a block-final column")
+            peaks.add(len(starts) - bisect_right(starts, c))
+        levels.append((m, peaks, rises, falls, path_gaps[::-1]))
+    blocks = []
+    for m, peaks, rises, falls, gaps in reversed(levels):
+        blocks = _insert_blocks(blocks, m, peaks, rises, falls, gaps)
+    return _from_blocks(blocks)
 
 
 def unified_dinv(D: AreaZeroDecoratedPath) -> int:

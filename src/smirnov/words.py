@@ -298,13 +298,20 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
         raise ValueError("m=%d is smaller than a letter of the word" % m)
     if m < 1:
         raise ValueError("m must be a positive letter")
-    blocks = [list(b) for b in w.blocks]
+    blocks = _insert_blocks([list(b) for b in w.blocks], m, peaks, rises, falls, gaps)
+    return _from_blocks(blocks)
+
+
+def _insert_blocks(blocks: list, m: int, peaks: Sequence[int], rises: Sequence[int],
+                   falls: Sequence[int], gaps: Sequence[int]) -> list:
+    """insert_many on a list of blocks (lists of letters, which it may change);
+    checks every index against the blocks.  paths.phi_inverse shares it."""
     s = len(blocks)
     peaks = set(peaks)
     for t in peaks:
         if not 1 <= t <= s - 1:
             raise ValueError("peak separator %d out of range 1..%d" % (t, s - 1))
-    if peaks and any(letter == m for letter in w.letters):
+    if peaks and any(m in blk for blk in blocks):
         raise ValueError("peak insertion requires m strictly above every letter")
     joined = []
     if blocks:
@@ -333,13 +340,11 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
     if len(gaps) != s1 + 1 or any(g < 0 for g in gaps):
         raise ValueError("gaps must list %d nonnegative counts" % (s1 + 1))
     out = []
-    for g, blk in itertools.zip_longest(range(s1 + 1), joined):
+    for g, blk in enumerate(joined):
         out.extend([m] for _ in range(gaps[g]))
-        if blk is not None:
-            out.append(blk)
-    letters = tuple(itertools.chain.from_iterable(out))
-    shape = tuple(len(b) for b in out)
-    return SegmentedSmirnovWord(letters, shape)
+        out.append(blk)
+    out.extend([m] for _ in range(gaps[s1]))
+    return out
 
 
 def insert_maximal(w: SegmentedSmirnovWord, kind: str, slot: int, m: int) -> SegmentedSmirnovWord:
@@ -387,9 +392,7 @@ def delete_occurrence(w: SegmentedSmirnovWord, pos: int) -> SegmentedSmirnovWord
                 blocks[b_idx:b_idx + 1] = [blk[:in_block], blk[in_block + 1:]]
             break
         seen += len(blk)
-    letters = tuple(itertools.chain.from_iterable(blocks))
-    shape = tuple(len(b) for b in blocks)
-    return SegmentedSmirnovWord(letters, shape)
+    return _from_blocks(blocks)
 
 
 @dataclass(frozen=True)
@@ -415,45 +418,48 @@ def extract_maximal(w: SegmentedSmirnovWord) -> tuple:
     """
     if w.n == 0:
         raise ValueError("cannot extract from the empty word")
-    m = max(w.letters)
-    gap_counts = []
+    (m, peaks, rises, falls, gaps), blocks = _split_maximal(w.blocks)
+    record = InsertionRecord(m, frozenset(peaks), frozenset(rises), frozenset(falls),
+                             tuple(gaps))
+    return _from_blocks(blocks), record
+
+
+def _split_maximal(blocks: Sequence[Sequence[int]]) -> tuple:
+    """extract_maximal on the nonempty blocks of a word, which it leaves as they are.
+
+    Returns ((m, peaks, rises, falls, gaps), stripped blocks as lists), the
+    fields meaning what they mean in InsertionRecord.  paths.phi shares it.
+    """
+    m = max(map(max, blocks))
+    gaps = []
     pending = 0
-    runs = []  # (sub-blocks, had_initial_m, had_final_m) per non-singleton block
-    for blk in w.blocks:
-        if blk == (m,):
+    peaks, rises, falls = set(), set(), set()
+    stripped = []
+    for blk in blocks:
+        if len(blk) == 1 and blk[0] == m:
             pending += 1
             continue
-        gap_counts.append(pending)
+        gaps.append(pending)
         pending = 0
-        body = list(blk)
-        had_final = body[-1] == m
-        if had_final:
-            body.pop()
-        had_initial = body[0] == m
-        if had_initial:
-            body.pop(0)
-        subs, cur = [], []
-        for letter in body:
-            if letter == m:
-                subs.append(cur)
-                cur = []
-            else:
-                cur.append(letter)
-        subs.append(cur)
-        runs.append((subs, had_initial, had_final))
-    gap_counts.append(pending)
-    peaks, rises, falls = set(), set(), set()
-    new_blocks = []
-    for b_idx, (subs, had_initial, had_final) in enumerate(runs, start=1):
-        start = len(new_blocks) + 1
-        new_blocks.extend(subs)
-        peaks.update(range(start, start + len(subs) - 1))
-        if had_final:
-            rises.add(b_idx)
-        if had_initial:
-            falls.add(b_idx)
-    letters = tuple(itertools.chain.from_iterable(new_blocks))
-    shape = tuple(len(b) for b in new_blocks)
-    record = InsertionRecord(m, frozenset(peaks), frozenset(rises), frozenset(falls),
-                             tuple(gap_counts))
-    return SegmentedSmirnovWord(letters, shape), record
+        lo, hi = 0, len(blk)
+        if blk[-1] == m:
+            rises.add(len(gaps))
+            hi -= 1
+        if blk[0] == m:
+            falls.add(len(gaps))
+            lo = 1
+        first = len(stripped) + 1
+        body = list(blk[lo:hi])
+        while m in body:
+            i = body.index(m)
+            stripped.append(body[:i])
+            body = body[i + 1:]
+        stripped.append(body)
+        peaks.update(range(first, len(stripped)))
+    gaps.append(pending)
+    return (m, peaks, rises, falls, gaps), stripped
+
+
+def _from_blocks(blocks: Sequence[Sequence[int]]) -> SegmentedSmirnovWord:
+    return SegmentedSmirnovWord(tuple(itertools.chain.from_iterable(blocks)),
+                                tuple(len(blk) for blk in blocks))

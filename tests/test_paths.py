@@ -1,6 +1,12 @@
 """Unit tests for decorated labelled Dyck paths, the area-0 block form, and the
 insertion bijection from segmented Smirnov words."""
 
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,7 +15,7 @@ from smirnov.paths import (EMPTY_PATH, AreaZeroDecoratedPath,
                            enumerate_area0, path_dinv, phi, phi_inverse,
                            unified_dinv)
 from smirnov.stats import sdinv_count
-from smirnov.words import enumerate_words, parse_word
+from smirnov.words import enumerate_words, extract_maximal, parse_word
 
 from test_words import words
 
@@ -127,3 +133,117 @@ class TestBijection:
         D = phi(w)
         assert phi_inverse(D) == w
         assert area(D.to_steps()) == 0
+
+    @given(words(n_max=14, alphabet=12))
+    @settings(max_examples=80, deadline=None)
+    def test_many_levels_property(self, w):
+        D = phi(w)
+        assert phi_inverse(D) == w
+        assert D.rise_count() == len(w.ascent_positions())
+        assert D.valley_count() == len(w.descent_positions())
+        assert D.content() == w.content()
+
+    def test_deep_words_need_no_deep_stack(self):
+        """phi and phi_inverse loop over the levels, one per distinct letter,
+        so 300 levels run under a recursion limit of 100."""
+        code = textwrap.dedent("""
+            import random, sys
+            from smirnov.paths import phi, phi_inverse
+            from smirnov.words import SegmentedSmirnovWord
+            rng = random.Random(0)
+            perm = list(range(1, 301))
+            rng.shuffle(perm)
+            letters = [rng.randint(1, 150) for _ in range(300)]
+            shape, run = [], 1
+            for a, b in zip(letters, letters[1:]):
+                if a == b or rng.random() < 0.3:
+                    shape.append(run)
+                    run = 1
+                else:
+                    run += 1
+            shape.append(run)
+            cases = [SegmentedSmirnovWord(perm, (300,)), SegmentedSmirnovWord(letters, shape)]
+            sys.setrecursionlimit(100)
+            for w in cases:
+                assert phi_inverse(phi(w)) == w
+            print(len(shape), max(shape), len(set(letters)))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blocks, longest, distinct = map(int, proc.stdout.split())
+        assert blocks > 50 and longest > 5 and distinct > 100
+
+
+def _reference_apply_record(Dprime, rec):
+    """One level of phi as first written: replay the insertions of the maximal
+    letter on a validated path, regrouping its columns into blocks."""
+    cols = [[list(labels), flag] for labels, flag in Dprime.columns]
+    nested = []
+    for col in cols:
+        if col[1] and nested:
+            nested[-1].append(col)
+        else:
+            nested.append([col])
+    bp = len(nested)
+    m = rec.m
+    for t in rec.peaks:
+        p = bp - t  # word separator t joins path blocks p, p+1
+        nested[p - 1][-1][0].append(m)
+        nested[p][0][1] = True
+    merged = []
+    for blk in nested:
+        if blk[0][1] and merged:
+            merged[-1].extend(blk)
+        else:
+            merged.append(blk)
+    b1 = len(merged)
+    for b in rec.rises:
+        merged[b1 - b][-1][0].append(m)
+    for b in rec.falls:
+        merged[b1 - b].append([[m], True])
+    out = []
+    for gp in range(b1 + 1):  # path gap gp corresponds to word gap b1 - gp
+        out.extend([[m], False] for _ in range(rec.gaps[b1 - gp]))
+        if gp < b1:
+            out.extend(merged[gp])
+    return AreaZeroDecoratedPath(tuple((tuple(labels), flag) for labels, flag in out))
+
+
+def _reference_phi(w, memo):
+    """The recursive definition of phi: strip the maximal letter, map the
+    rest, then insert the maximal label into the path.  memo maps words to
+    their images."""
+    if w not in memo:
+        if w.n == 0:
+            memo[w] = EMPTY_PATH
+        else:
+            wprime, rec = extract_maximal(w)
+            memo[w] = _reference_apply_record(_reference_phi(wprime, memo), rec)
+    return memo[w]
+
+
+def _contents(n_max):
+    """Every composition of n <= n_max, and every weak one of at most three parts."""
+    for n in range(1, n_max + 1):
+        for parts in range(1, n + 1):
+            for mu in itertools.product(range(n + 1), repeat=parts):
+                if sum(mu) == n and mu[-1] and (all(mu) or parts <= 3):
+                    yield mu
+
+
+class TestAgainstRecursiveDefinition:
+    def test_phi_and_phi_inverse_match_the_recursion(self):
+        memo = {}
+        for mu in _contents(5):
+            preimage = {}
+            for w in enumerate_words(mu):
+                D = _reference_phi(w, memo)
+                assert phi(w) == D, w
+                preimage[D] = w
+            # every image path is enumerated once, so this also checks
+            # phi_inverse(phi(w)) == w for every word
+            for D in enumerate_area0(mu):
+                assert phi_inverse(D) == preimage.pop(D), D
+            assert not preimage
