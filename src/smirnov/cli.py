@@ -95,12 +95,14 @@ def cmd_stat(word_text, stat_name, as_json):
               help="Load/store the coefficient memo table as JSON.")
 def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
     """Run a verification suite; exit status 0 iff every case passes."""
+    names = list(verify.SUITES) if suite == "all" else [suite]
     try:
         verify.worker_count()
+        for name in names:
+            verify.suite_bound(name, n_max, instances)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _load_memo(memo_file)
-    names = list(verify.SUITES) if suite == "all" else [suite]
     reports = []
     for name in names:
         kwargs = {"instances": instances, "seed": seed} if name == "insertion-lemmas" else {}

@@ -384,6 +384,11 @@ def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") ->
     for w in enumerate_words_by_stat(mu, k, l):
         v = fn(w)
         counts[v] = counts.get(v, 0) + 1
+    return histogram_poly(counts)
+
+
+def histogram_poly(counts: dict) -> QPolynomial:
+    """The sum of c q^v over the items (v, c) of a histogram; zero when it is empty."""
     if not counts:
         return _ZERO
     out = [0] * (max(counts) + 1)

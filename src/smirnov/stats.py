@@ -57,8 +57,46 @@ def sminv(w: SegmentedSmirnovWord) -> InversionReport:
     return InversionReport(tuple(pairs))
 
 
+def _block_starts(w: SegmentedSmirnovWord) -> list:
+    """starts[i] is True when 0-based position i begins a block."""
+    starts = [False] * w.n
+    pos = 0
+    for part in w.shape:
+        starts[pos] = True
+        pos += part
+    return starts
+
+
+def _sminv_tally(letters: Sequence[int], starts: list) -> list:
+    """tally[i]: the number of sminv pairs (i, j) with left index i (0-based).
+
+    The cases of `sminv`, read for a fixed j: if j starts a block, every i < j
+    with w_i > w_j counts (1).  Otherwise, with p = w_{j-1}, i counts when
+    w_j < w_i < p (2), or when w_i = p > w_j, i != j-1, and j-1 starts a block
+    (3) or w_{j-2} > p (4).
+    """
+    tally = [0] * len(letters)
+    for j in range(1, len(letters)):
+        wj = letters[j]
+        if starts[j]:
+            for i in range(j):
+                if letters[i] > wj:
+                    tally[i] += 1
+            continue
+        p = letters[j - 1]
+        if p < wj:
+            continue
+        equal_counts = starts[j - 1] or letters[j - 2] > p
+        for i in range(j - 1):
+            wi = letters[i]
+            if wj < wi < p or (equal_counts and wi == p):
+                tally[i] += 1
+    return tally
+
+
 def sminv_count(w: SegmentedSmirnovWord) -> int:
-    return sminv(w).count
+    """len(sminv(w).pairs), without building the tagged report."""
+    return sum(_sminv_tally(w.letters, _block_starts(w)))
 
 
 def height_array(w: SegmentedSmirnovWord, m: int) -> tuple:
@@ -123,7 +161,54 @@ def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
 
 
 def sdinv_count(w: SegmentedSmirnovWord) -> int:
-    return sdinv(w).count
+    """len(sdinv(w).pairs), without building the tagged report.
+
+    A peak i adds its sminv pairs.  Every other i, with m = w_i, pairs with the
+    letters below m: to the right (j > i) at equal height_m, where j = i + 1
+    only if j starts a block, and to the left (j < i - 1) one step lower.  One
+    scan per letter m carries height_m (reset at block starts and after a
+    letter > m, raised after a letter < m) and tallies, by height, the non-peak
+    m's and the letters below m seen so far.  Inside a block, a letter below m
+    right after a non-peak m has that m's height, and an m right after a letter
+    below m is one higher; the tallies count those adjacent pairs, so they are
+    taken off again.
+    """
+    letters = w.letters
+    n = len(letters)
+    starts = _block_starts(w)
+    # a peak exceeds both neighbours inside its block (classify's "peak")
+    peaks = [0 < i < n - 1 and not starts[i] and not starts[i + 1]
+             and letters[i - 1] < letters[i] > letters[i + 1] for i in range(n)]
+    total = 0
+    if any(peaks):
+        tally = _sminv_tally(letters, starts)
+        total = sum(t for t, peak in zip(tally, peaks) if peak)
+    for m in set(letters):
+        tops = [0] * n  # non-peak m's so far, by height
+        lows = [0] * n  # letters below m so far, by height
+        run = 0
+        prev = 0
+        for k in range(n):
+            letter = letters[k]
+            if starts[k]:
+                run = 0
+                prev = 0  # no letter before k in its block
+            if letter < m:
+                total += tops[run]
+                if prev == m and not peaks[k - 1]:
+                    total -= 1
+                lows[run] += 1
+                run += 1
+            elif letter > m:
+                run = 0
+            elif not peaks[k]:
+                if run:
+                    total += lows[run - 1]
+                    if prev < m:
+                        total -= 1
+                tops[run] += 1
+            prev = letter
+    return total
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Sequence
 
 from . import models, paths, quasisym
-from .qengine import (QPolynomial, enumerative_q_sum, q_binomial, sf_h_coefficient,
-                      standard_q_count)
+from .qengine import (QPolynomial, enumerative_q_sum, histogram_poly, q_binomial,
+                      sf_h_coefficient, standard_q_count)
 from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
                     sdinv_count, sminv, sminv_count)
 from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
@@ -30,6 +31,7 @@ class CaseResult:
     key: str
     ok: bool
     witness: str = ""
+    elapsed: float = 0.0  # seconds, measured in the process that ran the case
 
 
 @dataclass
@@ -59,7 +61,8 @@ class VerificationReport:
             "failed": self.failed,
             "elapsed": round(self.elapsed, 3),
             "cases": [{"key": c.key, "status": "pass" if c.ok else "fail",
-                       "witness": c.witness} for c in self.cases],
+                       "witness": c.witness, "elapsed": round(c.elapsed, 6)}
+                      for c in self.cases],
         }
 
 
@@ -76,29 +79,33 @@ def worker_count() -> int:
     return workers
 
 
+def _timed(fn: Callable, args) -> CaseResult:
+    start = time.perf_counter()
+    result = fn(args)
+    return replace(result, elapsed=time.perf_counter() - start)
+
+
 def _run_cases(fn: Callable, arglist: Sequence) -> List[CaseResult]:
     workers = worker_count()
+    timed = partial(_timed, fn)
     if workers > 1 and len(arglist) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, arglist))
+            results = list(pool.map(timed, arglist))
     else:
-        results = [fn(args) for args in arglist]
+        results = [timed(args) for args in arglist]
     return sorted(results, key=lambda c: c.key)
 
 
-def _distributions(mu: tuple, stat_fn) -> dict:
-    """Map (k, l) -> QPolynomial of q^stat over SW(mu, k, l)."""
-    buckets: dict = {}
+def _distributions(mu: tuple, *stat_fns) -> list:
+    """For each statistic, the map (k, l) -> QPolynomial of q^stat over
+    SW(mu, k, l); one pass over the words serves them all."""
+    buckets = [{} for _ in stat_fns]
     for w in enumerate_words(mu):
         key = (len(w.ascent_positions()), len(w.descent_positions()))
-        buckets.setdefault(key, Counter())[stat_fn(w)] += 1
-    out = {}
-    for key, counts in buckets.items():
-        coeffs = [0] * (max(counts) + 1)
-        for value, c in counts.items():
-            coeffs[value] = c
-        out[key] = QPolynomial(coeffs)
-    return out
+        for bucket, stat_fn in zip(buckets, stat_fns):
+            bucket.setdefault(key, Counter())[stat_fn(w)] += 1
+    return [{key: histogram_poly(counts) for key, counts in bucket.items()}
+            for bucket in buckets]
 
 
 # --- main-theorem suite -----------------------------------------------------
@@ -106,7 +113,7 @@ def _distributions(mu: tuple, stat_fn) -> dict:
 def _case_main_mu(mu: tuple) -> CaseResult:
     n = sum(mu)
     key = "main-theorem mu=%s" % (mu,)
-    dist = _distributions(mu, sminv_count)
+    [dist] = _distributions(mu, sminv_count)
     for k in range(n + 1):
         for l in range(n - k):
             lhs = sf_h_coefficient(n, k, l, mu)
@@ -123,7 +130,7 @@ def _case_main_mu(mu: tuple) -> CaseResult:
 
 def _case_standard(n: int) -> CaseResult:
     key = "standard-case n=%d" % n
-    dist = _distributions((1,) * n, sminv_count)
+    [dist] = _distributions((1,) * n, sminv_count)
     for k in range(n + 1):
         for l in range(n + 1 - k):
             rec = standard_q_count(n, k, l)
@@ -141,9 +148,9 @@ def _case_standard(n: int) -> CaseResult:
 
 def _case_symmetry(mu: tuple) -> CaseResult:
     key = "symmetry mu=%s" % (mu,)
-    reference = _distributions(tuple(sorted(mu, reverse=True)), sminv_count)
+    [reference] = _distributions(tuple(sorted(mu, reverse=True)), sminv_count)
     for perm in set(itertools.permutations(mu)):
-        dist = _distributions(perm, sminv_count)
+        [dist] = _distributions(perm, sminv_count)
         if dist != reference:
             return CaseResult(key, False, "rearrangement %s changes the enumerator" % (perm,))
     return CaseResult(key, True)
@@ -183,8 +190,8 @@ def suite_main_theorem(n_max: int = 6) -> List[CaseResult]:
     sym_mus = [mu for n in range(min(n_max, 6) + 1) for mu in partitions_of(n)
                if len(set(mu)) > 1]
     results += _run_cases(_case_symmetry, sym_mus)
-    results.append(_case_q_chu_vandermonde(8))
-    results.append(_case_trinomial(10))
+    results.append(_timed(_case_q_chu_vandermonde, 8))
+    results.append(_timed(_case_trinomial, 10))
     return results
 
 
@@ -192,8 +199,7 @@ def suite_main_theorem(n_max: int = 6) -> List[CaseResult]:
 
 def _case_equidistribution(mu: tuple) -> CaseResult:
     key = "equidistribution mu=%s" % (mu,)
-    lhs = _distributions(mu, sminv_count)
-    rhs = _distributions(mu, sdinv_count)
+    lhs, rhs = _distributions(mu, sminv_count, sdinv_count)
     if lhs != rhs:
         diff = [kl for kl in set(lhs) | set(rhs)
                 if lhs.get(kl, QPolynomial.zero()) != rhs.get(kl, QPolynomial.zero())]
@@ -234,10 +240,7 @@ def _case_bijection_mu(mu: tuple) -> CaseResult:
     if all_paths != set(images):
         return CaseResult(key, False, "phi is not onto the area-0 paths of content %s" % (mu,))
     for (k, l), counts in unified_sums.items():
-        coeffs = [0] * (max(counts) + 1)
-        for value, c in counts.items():
-            coeffs[value] = c
-        poly = QPolynomial(coeffs)
+        poly = histogram_poly(counts)
         if n > 0 and k + l < n and poly != sf_h_coefficient(n, k, l, mu):
             return CaseResult(key, False, "unified dinv sum differs at k=%d l=%d" % (k, l))
     for D, w in images.items():
@@ -540,10 +543,28 @@ _DEFAULT_N_MAX = {
 }
 
 
-def run_suite(name: str, n_max: int | None = None, **kwargs) -> VerificationReport:
+# the least n_max at which a suite has a case: quasisym and models start at
+# n = 1, and _random_word draws n from 2..n_max
+_LEAST_N_MAX = {"quasisym": 1, "models": 1, "insertion-lemmas": 2}
+
+
+def suite_bound(name: str, n_max: int | None = None, instances: int = 200) -> int:
+    """The n_max that run_suite uses for a suite.  A bound or instance count
+    under which the suite would run no case, or could not draw a word, is a
+    ValueError: a suite with no cases would pass vacuously."""
     if name not in _SUITE_FUNCTIONS:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
     bound = n_max if n_max is not None else _DEFAULT_N_MAX[name]
+    least = _LEAST_N_MAX.get(name, 0)
+    if bound < least:
+        raise ValueError("n_max for suite %s must be at least %d, got %d" % (name, least, bound))
+    if name == "insertion-lemmas" and instances < 1:
+        raise ValueError("instances must be at least 1, got %d" % instances)
+    return bound
+
+
+def run_suite(name: str, n_max: int | None = None, **kwargs) -> VerificationReport:
+    bound = suite_bound(name, n_max, kwargs.get("instances", 200))
     start = time.perf_counter()
     if name == "insertion-lemmas":
         cases = suite_insertion_lemmas(bound, **kwargs)

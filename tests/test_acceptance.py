@@ -46,7 +46,7 @@ def test_criterion_01_main_theorem(report):
 
 
 def test_criterion_02_equidistribution(report):
-    cases = verify._run_cases(verify._case_equidistribution, mus_up_to(6))
+    cases = verify.suite_equidistribution(6)
     report(2, "sminv and sdinv are equidistributed on every (mu, k, l) cell "
               "with n <= 6", cases)
 

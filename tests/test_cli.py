@@ -79,6 +79,33 @@ class TestVerify:
         reports = json.loads(result.output)
         assert reports[0]["suite"] == "main-theorem"
         assert reports[0]["failed"] == 0
+        assert all(c["elapsed"] >= 0 for c in reports[0]["cases"])
+
+    def test_case_elapsed_is_measured_in_pool_workers(self):
+        result = CliRunner().invoke(main, ["verify", "--suite", "equidistribution",
+                                           "--n-max", "4", "--json"],
+                                    env={"SMIRNOV_THREADS": "2"})
+        assert result.exit_code == 0
+        [report] = json.loads(result.output)
+        elapsed = [c["elapsed"] for c in report["cases"]]
+        assert len(elapsed) == 12
+        assert min(elapsed) >= 0 and max(elapsed) > 0
+
+    @pytest.mark.parametrize("args,message", [
+        # each of these used to pass vacuously ("0 passed, 0 failed", exit 0)
+        (["--suite", "equidistribution", "--n-max", "-3"], "at least 0, got -3"),
+        (["--suite", "models", "--n-max", "0"], "at least 1, got 0"),
+        (["--suite", "insertion-lemmas", "--instances", "-5"], "at least 1, got -5"),
+        # this one used to end in a raw "empty range for randrange()" traceback
+        (["--suite", "insertion-lemmas", "--n-max", "1"], "at least 2, got 1"),
+        (["--suite", "all", "--n-max", "1"], "insertion-lemmas must be at least 2"),
+    ], ids=["negative-n-max", "models-n-max-0", "negative-instances",
+            "insertion-n-max-1", "all-n-max-1"])
+    def test_bounds_without_cases_are_usage_errors(self, args, message):
+        result = run("verify", *args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_is_usage_error(self, value):

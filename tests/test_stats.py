@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, height,
                            height_array, omp_dinv, omp_inv, project, sdinv,
                            sdinv_count, sminv, sminv_count)
-from smirnov.words import (SegmentedSmirnovWord, classify, enumerate_words,
-                           parse_word)
+from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify,
+                           enumerate_words, parse_word)
 
 from test_words import words
 
@@ -119,6 +119,35 @@ class TestSdinv:
         for i, j, _ in sdinv(w).pairs:
             assert i != j
             assert w.letters[i - 1] > w.letters[j - 1]
+
+
+def _weak_compositions(n_max):
+    """Every weak composition of n <= n_max with at most n parts, last part nonzero."""
+    for n in range(n_max + 1):
+        for parts in range(n + 1):
+            for mu in itertools.product(range(n + 1), repeat=parts):
+                if sum(mu) == n and (not mu or mu[-1]):
+                    yield mu
+
+
+class TestCountKernels:
+    """sminv_count and sdinv_count build no report; the tagged reports are their oracle."""
+
+    def test_match_the_reports_on_every_small_word(self):
+        for mu in _weak_compositions(5):
+            for w in enumerate_words(mu):
+                assert sminv_count(w) == sminv(w).count, w
+                assert sdinv_count(w) == sdinv(w).count, w
+
+    @given(words(n_max=16, alphabet=12))
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_reports_on_long_words(self, w):
+        assert sminv_count(w) == sminv(w).count
+        assert sdinv_count(w) == sdinv(w).count
+
+    def test_empty_word(self):
+        assert sminv_count(EMPTY_WORD) == 0
+        assert sdinv_count(EMPTY_WORD) == 0
 
 
 class TestOrderedMultisetPartitions:
