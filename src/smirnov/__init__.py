@@ -7,7 +7,7 @@ from .qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum, hilber
                       q_binomial, q_int, sf_h_coefficient, standard_q_count)
 from .quasisym import (FundamentalTerm, expand_to_monomials, fundamental_expansion,
                        split_set, standardize)
-from .stats import (InversionReport, OrderedMultisetPartition, height, omp_dinv, omp_inv,
+from .stats import (InversionReport, OrderedMultisetPartition, omp_dinv, omp_inv,
                     project, sdinv, sdinv_count, sminv, sminv_count)
 from .words import (PositionProfile, SegmentedSmirnovWord, classify, enumerate_words,
                     enumerate_words_by_stat, insert_maximal, parse_word)
@@ -19,7 +19,7 @@ __all__ = [
     "InversionReport", "OrderedMultisetPartition", "PositionProfile", "QPolynomial",
     "SegmentedSmirnovWord", "SfCoefficientTable", "area", "area_word", "classify",
     "enumerate_area0", "enumerate_words", "enumerate_words_by_stat",
-    "enumerative_q_sum", "expand_to_monomials", "fundamental_expansion", "height",
+    "enumerative_q_sum", "expand_to_monomials", "fundamental_expansion",
     "hilbert_table", "insert_maximal", "omp_dinv", "omp_inv", "parse_word",
     "path_dinv", "phi", "phi_inverse", "project", "q_binomial", "q_int", "sdinv",
     "sdinv_count", "sf_h_coefficient", "sminv", "sminv_count", "split_set",

@@ -103,10 +103,7 @@ def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _load_memo(memo_file)
-    reports = []
-    for name in names:
-        kwargs = {"instances": instances, "seed": seed} if name == "insertion-lemmas" else {}
-        reports.append(verify.run_suite(name, n_max, **kwargs))
+    reports = [verify.run_suite(name, n_max, instances, seed) for name in names]
     if memo_file:
         qengine._DEFAULT_TABLE.dump(memo_file)
     if as_json:

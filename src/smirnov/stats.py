@@ -118,12 +118,6 @@ def height_array(w: SegmentedSmirnovWord, m: int) -> tuple:
     return tuple(heights)
 
 
-def height(w: SegmentedSmirnovWord, m: int, i: int) -> int:
-    if not 1 <= i <= w.n:
-        raise ValueError("index %d out of range" % i)
-    return height_array(w, m)[i - 1]
-
-
 def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
     """Diagonal inversions: pairs (i, j) with w_i > w_j (i may exceed j).
 

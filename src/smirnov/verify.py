@@ -11,19 +11,15 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, List, Sequence
+from typing import Callable, List, NamedTuple
 
 from . import models, paths, quasisym
-from .qengine import (QPolynomial, enumerative_q_sum, histogram_poly, q_binomial,
-                      sf_h_coefficient, standard_q_count)
+from .qengine import (QPolynomial, histogram_poly, q_binomial, sf_h_coefficient,
+                      standard_q_count)
 from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
                     sdinv_count, sminv, sminv_count)
 from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
                     shapes_for, words_of_length)
-
-SUITES = ("main-theorem", "equidistribution", "bijection", "insertion-lemmas",
-          "quasisym", "models")
 
 
 @dataclass(frozen=True)
@@ -79,20 +75,23 @@ def worker_count() -> int:
     return workers
 
 
-def _timed(fn: Callable, args) -> CaseResult:
+def _timed(task: tuple) -> CaseResult:
+    fn, args = task
     start = time.perf_counter()
     result = fn(args)
     return replace(result, elapsed=time.perf_counter() - start)
 
 
-def _run_cases(fn: Callable, arglist: Sequence) -> List[CaseResult]:
+def _run_cases(tasks: List[tuple]) -> List[CaseResult]:
+    """Run (case function, args) tasks, through one process pool when
+    SMIRNOV_THREADS > 1; each case is timed where it runs.  The results come
+    back sorted by key."""
     workers = worker_count()
-    timed = partial(_timed, fn)
-    if workers > 1 and len(arglist) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(timed, arglist))
+            results = list(pool.map(_timed, tasks))
     else:
-        results = [timed(args) for args in arglist]
+        results = [_timed(task) for task in tasks]
     return sorted(results, key=lambda c: c.key)
 
 
@@ -182,17 +181,15 @@ def _case_trinomial(bound: int) -> CaseResult:
     return CaseResult(key, True)
 
 
-def suite_main_theorem(n_max: int = 6) -> List[CaseResult]:
-    results = []
-    mus = [mu for n in range(n_max + 1) for mu in partitions_of(n)]
-    results += _run_cases(_case_main_mu, mus)
-    results += _run_cases(_case_standard, list(range(n_max + 1)))
-    sym_mus = [mu for n in range(min(n_max, 6) + 1) for mu in partitions_of(n)
-               if len(set(mu)) > 1]
-    results += _run_cases(_case_symmetry, sym_mus)
-    results.append(_timed(_case_q_chu_vandermonde, 8))
-    results.append(_timed(_case_trinomial, 10))
-    return results
+def _main_theorem_tasks(n_max: int, *_) -> List[tuple]:
+    tasks = []
+    for n in range(n_max + 1, -1, -1):
+        tasks.append((_case_standard, n))
+        if n <= n_max:
+            tasks += [(_case_main_mu, mu) for mu in partitions_of(n)]
+        if n <= min(n_max, 6):
+            tasks += [(_case_symmetry, mu) for mu in partitions_of(n) if len(set(mu)) > 1]
+    return tasks + [(_case_q_chu_vandermonde, 8), (_case_trinomial, 10)]
 
 
 # --- equidistribution suite -------------------------------------------------
@@ -207,9 +204,9 @@ def _case_equidistribution(mu: tuple) -> CaseResult:
     return CaseResult(key, True)
 
 
-def suite_equidistribution(n_max: int = 6) -> List[CaseResult]:
-    mus = [mu for n in range(n_max + 1) for mu in partitions_of(n)]
-    return _run_cases(_case_equidistribution, mus)
+def _equidistribution_tasks(n_max: int, *_) -> List[tuple]:
+    return [(_case_equidistribution, mu)
+            for n in range(n_max, -1, -1) for mu in partitions_of(n)]
 
 
 # --- bijection suite --------------------------------------------------------
@@ -287,12 +284,14 @@ def _case_projection_mu(mu: tuple) -> CaseResult:
     return CaseResult(key, True)
 
 
-def suite_bijection(n_max: int = 5) -> List[CaseResult]:
-    mus = [mu for n in range(n_max + 1) for mu in partitions_of(n)]
-    results = _run_cases(_case_bijection_mu, mus)
-    proj_mus = [mu for n in range(min(n_max + 1, 7)) for mu in partitions_of(n)]
-    results += _run_cases(_case_projection_mu, proj_mus)
-    return results
+def _bijection_tasks(n_max: int, *_) -> List[tuple]:
+    tasks = []
+    for n in range(n_max + 1, -1, -1):
+        if n <= n_max:
+            tasks += [(_case_bijection_mu, mu) for mu in partitions_of(n)]
+        if n <= min(n_max + 1, 6):
+            tasks += [(_case_projection_mu, mu) for mu in partitions_of(n)]
+    return tasks
 
 
 # --- insertion-lemmas suite -------------------------------------------------
@@ -363,17 +362,12 @@ def _case_insertion(args: tuple) -> CaseResult:
     return CaseResult(key, True)
 
 
-def suite_insertion_lemmas(n_max: int = 7, instances: int = 200, seed: int = 0) -> List[CaseResult]:
+def _insertion_tasks(n_max: int, instances: int, seed: int) -> List[tuple]:
     batch_size = 50
-    args = []
-    for kind in ("peak", "double_fall", "double_rise", "singleton"):
-        remaining = instances
-        batch = 0
-        while remaining > 0:
-            args.append((kind, batch, min(batch_size, remaining), seed, n_max))
-            remaining -= batch_size
-            batch += 1
-    return _run_cases(_case_insertion, args)
+    return [(_case_insertion,
+             (kind, start // batch_size, min(batch_size, instances - start), seed, n_max))
+            for kind in ("peak", "double_fall", "double_rise", "singleton")
+            for start in range(0, instances, batch_size)]
 
 
 # --- quasisym suite ---------------------------------------------------------
@@ -420,14 +414,16 @@ def _case_fiber(n: int) -> CaseResult:
     return CaseResult(key, True)
 
 
-def suite_quasisym(n_max: int = 5) -> List[CaseResult]:
-    args = [(n, k, l) for n in range(1, n_max + 1)
-            for k in range(n) for l in range(n - k)]
-    results = _run_cases(_case_expansion, args)
-    results += _run_cases(_case_standardization,
-                          [(n, min(4, n)) for n in range(1, min(n_max + 1, 7))])
-    results += _run_cases(_case_fiber, list(range(1, min(n_max, 4) + 1)))
-    return results
+def _quasisym_tasks(n_max: int, *_) -> List[tuple]:
+    tasks = []
+    for n in range(n_max + 1, 0, -1):
+        if n <= n_max:
+            tasks += [(_case_expansion, (n, k, l)) for k in range(n) for l in range(n - k)]
+        if n <= min(n_max + 1, 6):
+            tasks.append((_case_standardization, (n, min(4, n))))
+        if n <= min(n_max, 4):
+            tasks.append((_case_fiber, n))
+    return tasks
 
 
 # --- models suite -----------------------------------------------------------
@@ -506,56 +502,54 @@ def _case_chromatic(n: int) -> CaseResult:
     tallies = models.chromatic_path_enumerator(n, n)
     for mu in partitions_of(n):
         exps = tuple(mu) + (0,) * (n - len(mu))
+        [dist] = _distributions(mu, sminv_count)
         for l in range(n):
             k = n - 1 - l
             got = tallies.get(l, Counter()).get(exps, 0)
-            expected = enumerative_q_sum(mu, k, l, "sminv")(1) if k >= 0 else 0
+            expected = dist.get((k, l), QPolynomial.zero())(1)
             if got != expected:
-                return CaseResult(key, False, "mu=%s l=%d tally=%d recursion=%d"
+                return CaseResult(key, False, "mu=%s l=%d tally=%d enumeration=%d"
                                   % (mu, l, got, expected))
     return CaseResult(key, True)
 
 
-def suite_models(n_max: int = 7) -> List[CaseResult]:
-    results = _run_cases(_case_avoidance, list(range(1, n_max + 1)))
-    results += _run_cases(_case_noncrossing, list(range(1, n_max + 1)))
-    results += _run_cases(_case_polyomino, list(range(1, min(n_max, 6) + 1)))
-    results += _run_cases(_case_chromatic, list(range(1, min(n_max, 6) + 1)))
-    return results
+def _models_tasks(n_max: int, *_) -> List[tuple]:
+    tasks = []
+    for n in range(n_max, 0, -1):
+        tasks += [(_case_avoidance, n), (_case_noncrossing, n)]
+        if n <= 6:
+            tasks += [(_case_polyomino, n), (_case_chromatic, n)]
+    return tasks
 
 
-_SUITE_FUNCTIONS = {
-    "main-theorem": suite_main_theorem,
-    "equidistribution": suite_equidistribution,
-    "bijection": suite_bijection,
-    "insertion-lemmas": suite_insertion_lemmas,
-    "quasisym": suite_quasisym,
-    "models": suite_models,
+class _Suite(NamedTuple):
+    tasks: Callable  # (n_max, instances, seed) -> [(case function, args)], largest n first
+    default_n_max: int
+    # below it a suite has no case (quasisym and models start at n = 1), or
+    # cannot draw a word (_random_word draws n from 2..n_max)
+    least_n_max: int
+
+
+_SUITES = {
+    "main-theorem": _Suite(_main_theorem_tasks, 6, 0),
+    "equidistribution": _Suite(_equidistribution_tasks, 6, 0),
+    "bijection": _Suite(_bijection_tasks, 5, 0),
+    "insertion-lemmas": _Suite(_insertion_tasks, 7, 2),
+    "quasisym": _Suite(_quasisym_tasks, 5, 1),
+    "models": _Suite(_models_tasks, 7, 1),
 }
 
-_DEFAULT_N_MAX = {
-    "main-theorem": 6,
-    "equidistribution": 6,
-    "bijection": 5,
-    "insertion-lemmas": 7,
-    "quasisym": 5,
-    "models": 7,
-}
-
-
-# the least n_max at which a suite has a case: quasisym and models start at
-# n = 1, and _random_word draws n from 2..n_max
-_LEAST_N_MAX = {"quasisym": 1, "models": 1, "insertion-lemmas": 2}
+SUITES = tuple(_SUITES)
 
 
 def suite_bound(name: str, n_max: int | None = None, instances: int = 200) -> int:
     """The n_max that run_suite uses for a suite.  A bound or instance count
     under which the suite would run no case, or could not draw a word, is a
     ValueError: a suite with no cases would pass vacuously."""
-    if name not in _SUITE_FUNCTIONS:
+    if name not in _SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
-    bound = n_max if n_max is not None else _DEFAULT_N_MAX[name]
-    least = _LEAST_N_MAX.get(name, 0)
+    bound = n_max if n_max is not None else _SUITES[name].default_n_max
+    least = _SUITES[name].least_n_max
     if bound < least:
         raise ValueError("n_max for suite %s must be at least %d, got %d" % (name, least, bound))
     if name == "insertion-lemmas" and instances < 1:
@@ -563,11 +557,11 @@ def suite_bound(name: str, n_max: int | None = None, instances: int = 200) -> in
     return bound
 
 
-def run_suite(name: str, n_max: int | None = None, **kwargs) -> VerificationReport:
-    bound = suite_bound(name, n_max, kwargs.get("instances", 200))
+def run_suite(name: str, n_max: int | None = None, instances: int = 200,
+              seed: int = 0) -> VerificationReport:
+    """Run every case of a suite; instances and seed are read by
+    insertion-lemmas alone."""
+    bound = suite_bound(name, n_max, instances)
     start = time.perf_counter()
-    if name == "insertion-lemmas":
-        cases = suite_insertion_lemmas(bound, **kwargs)
-    else:
-        cases = _SUITE_FUNCTIONS[name](bound)
+    cases = _run_cases(_SUITES[name].tasks(bound, instances, seed))
     return VerificationReport(name, bound, cases, time.perf_counter() - start)

@@ -155,10 +155,6 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
     return SegmentedSmirnovWord(tuple(letters), tuple(shape))
 
 
-def format_word(w: SegmentedSmirnovWord) -> str:
-    return w.text()
-
-
 def classify(w: SegmentedSmirnovWord) -> PositionProfile:
     """Roles from a(w) = inf w^1 inf w^2 inf ... inf; ascents/descents per block."""
     inf = math.inf

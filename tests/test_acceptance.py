@@ -1,31 +1,69 @@
 """Acceptance gate: the ten headline claims, each checked by exact equality and
 reported as a single pass/fail line.
 
-The lines are written to the real stdout so they appear even under pytest's
-output capture; run `pytest tests/test_acceptance.py -v` for the full detail.
+Every criterion but the fixed fixtures (4) reads the cases of a verification
+suite run at its default bounds, so `smirnov verify --suite all` runs exactly
+the cases of this gate.  The lines are written to the real stdout so they
+appear even under pytest's output capture; run
+`pytest tests/test_acceptance.py -v` for the full detail.
 """
 
 import os
 
 import pytest
 
-# shard exhaustive sweeps across processes when several cores are available
-os.environ.setdefault("SMIRNOV_THREADS", str(min(4, os.cpu_count() or 1)))
-
 from smirnov import verify
-from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv, phi
+from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv
 from smirnov.qengine import QPolynomial, enumerative_q_sum
 from smirnov.quasisym import split_set, standardize
 from smirnov.stats import height_array, sdinv, sminv
-from smirnov.words import enumerate_words, parse_word, partitions_of
+from smirnov.words import enumerate_words, parse_word
 from smirnov.models import (NoncrossingPartition, noncrossing_to_permutation,
                             polyomino_to_word, smirnov_to_polyomino)
 
+# criterion -> (suite, key prefixes of its cases, number of cases at default bounds)
+CRITERIA = {
+    1: ("main-theorem", ("main-theorem ",), 30),
+    2: ("equidistribution", ("equidistribution ",), 30),
+    3: ("main-theorem", ("standard-case ",), 8),
+    5: ("insertion-lemmas", ("insertion ",), 16),
+    6: ("bijection", ("bijection ",), 19),
+    7: ("bijection", ("projection ",), 30),
+    8: ("quasisym", ("expansion ", "standardization ", "fiber "), 45),
+    9: ("models", ("231-avoidance ", "noncrossing ", "polyomino ", "chromatic "), 26),
+    10: ("main-theorem", ("q-chu-vandermonde ", "trinomial ", "symmetry "), 17),
+}
+
+
+@pytest.fixture(scope="module")
+def suite_cases():
+    """A suite's cases at default bounds; each suite runs once, on first use.
+    Exhaustive sweeps are shared across processes when several cores are
+    available, unless SMIRNOV_THREADS is already set."""
+    reports = {}
+
+    def _cases(name):
+        if name not in reports:
+            with pytest.MonkeyPatch.context() as mp:
+                if "SMIRNOV_THREADS" not in os.environ:
+                    mp.setenv("SMIRNOV_THREADS", str(min(4, os.cpu_count() or 1)))
+                reports[name] = verify.run_suite(name).cases
+        return reports[name]
+    return _cases
+
+
+def criterion_cases(suite_cases, number):
+    suite, prefixes, _ = CRITERIA[number]
+    return [c for c in suite_cases(suite) if c.key.startswith(prefixes)]
+
 
 @pytest.fixture
-def report(capsys):
-    """One pass/fail line per criterion, written past pytest's capture."""
-    def _report(number: int, name: str, cases) -> None:
+def report(capsys, suite_cases):
+    """One pass/fail line per criterion, written past pytest's capture.  The
+    cases default to the criterion's share of its suite."""
+    def _report(number: int, name: str, cases=None) -> None:
+        if cases is None:
+            cases = criterion_cases(suite_cases, number)
         failures = [c for c in cases if not c.ok]
         status = "FAIL" if failures else "pass"
         with capsys.disabled():
@@ -35,26 +73,19 @@ def report(capsys):
     return _report
 
 
-def mus_up_to(n_max):
-    return [mu for n in range(n_max + 1) for mu in partitions_of(n)]
-
-
 def test_criterion_01_main_theorem(report):
-    cases = verify._run_cases(verify._case_main_mu, mus_up_to(6))
     report(1, "recursion coefficient equals the sminv enumerator for all "
-              "contents with n <= 6", cases)
+              "contents with n <= 6")
 
 
 def test_criterion_02_equidistribution(report):
-    cases = verify.suite_equidistribution(6)
     report(2, "sminv and sdinv are equidistributed on every (mu, k, l) cell "
-              "with n <= 6", cases)
+              "with n <= 6")
 
 
 def test_criterion_03_standard_case(report):
-    cases = verify._run_cases(verify._case_standard, list(range(8)))
     report(3, "standard-case recursion matches enumeration and the table "
-              "for n <= 7", cases)
+              "for n <= 7")
 
 
 def test_criterion_04_fixed_fixtures(report):
@@ -97,46 +128,44 @@ def test_criterion_04_fixed_fixtures(report):
 
 
 def test_criterion_05_insertion_lemmas(report):
-    cases = verify.suite_insertion_lemmas(n_max=7, instances=200, seed=0)
     report(5, "aggregated insertion enumerators match the four closed forms "
-              "on 200 random instances per kind, both statistics", cases)
+              "on 200 random instances per kind, both statistics")
 
 
 def test_criterion_06_bijection(report):
-    cases = verify._run_cases(verify._case_bijection_mu, mus_up_to(5))
     report(6, "path bijection round trips, transports decorations, and the "
-              "unified dinv sums match the recursion for n <= 5", cases)
+              "unified dinv sums match the recursion for n <= 5")
 
 
 def test_criterion_07_projections(report):
-    cases = verify._run_cases(verify._case_projection_mu, mus_up_to(6))
     report(7, "projections to ordered set partitions are bijective and send "
-              "the statistics to inv/dinv for n <= 6", cases)
+              "the statistics to inv/dinv for n <= 6")
 
 
 def test_criterion_08_quasisymmetric(report):
-    args = [(n, k, l) for n in range(1, 6) for k in range(n) for l in range(n - k)]
-    cases = verify._run_cases(verify._case_expansion, args)
-    cases += verify._run_cases(verify._case_standardization,
-                               [(n, min(4, n)) for n in range(1, 7)])
     report(8, "fundamental expansion equals direct monomial enumeration "
-              "(n <= 5) and standardization preserves the statistics "
-              "(n <= 6, letters <= 4)", cases)
+              "(n <= 5), standardization preserves the statistics "
+              "(n <= 6, letters <= 4), and the fiber condition picks out "
+              "the standardization (n <= 4)")
 
 
 def test_criterion_09_models(report):
-    cases = verify._run_cases(verify._case_avoidance, list(range(1, 8)))
-    cases += verify._run_cases(verify._case_noncrossing, list(range(1, 8)))
-    cases += verify._run_cases(verify._case_polyomino, list(range(1, 7)))
-    cases += verify._run_cases(verify._case_chromatic, list(range(1, 7)))
     report(9, "classical models: 231-avoidance with Catalan counts (n <= 7), "
               "Narayana refinement (n <= 7), polyomino bijection (n <= 6), "
-              "chromatic tallies (n <= 6)", cases)
+              "chromatic tallies (n <= 6)")
 
 
 def test_criterion_10_q_identities(report):
-    cases = [verify._case_q_chu_vandermonde(8), verify._case_trinomial(10)]
-    sym_mus = [mu for n in range(7) for mu in partitions_of(n) if len(set(mu)) > 1]
-    cases += verify._run_cases(verify._case_symmetry, sym_mus)
     report(10, "q-binomial identity suites (indices <= 10/8) and content "
-               "symmetry of the enumerator (n <= 6)", cases)
+               "symmetry of the enumerator (n <= 6)")
+
+
+def test_every_suite_case_belongs_to_one_criterion(suite_cases):
+    # a suite whose bounds drift below a criterion's stated bound fails here
+    for suite in verify.SUITES:
+        for case in suite_cases(suite):
+            owners = [number for number, (name, prefixes, _) in CRITERIA.items()
+                      if name == suite and case.key.startswith(prefixes)]
+            assert len(owners) == 1, (case.key, owners)
+    for number, (_, _, count) in CRITERIA.items():
+        assert len(criterion_cases(suite_cases, number)) == count, number

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
+from smirnov import verify
 from smirnov.cli import main
+from smirnov.qengine import QPolynomial
 
 
 def run(*args):
@@ -114,6 +117,22 @@ class TestVerify:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "SMIRNOV_THREADS" in result.output and repr(value) in result.output
+
+    def test_failing_case_reaches_the_report(self, monkeypatch):
+        monkeypatch.setenv("SMIRNOV_THREADS", "1")
+        monkeypatch.setattr(verify, "standard_q_count", lambda n, k, l: QPolynomial((7,)))
+        report = verify.run_suite("main-theorem", 3)
+        failed = [c for c in report.cases if not c.ok]
+        assert [c.key for c in failed] == ["standard-case n=%d" % n for n in range(5)]
+        assert all("recursion=7" in c.witness for c in failed)
+        result = run("verify", "--suite", "main-theorem", "--n-max", "3")
+        assert result.exit_code == 1
+        assert "[FAIL] standard-case n=4 -- k=0 l=0 recursion=7" in result.output
+        assert "5 failed" in result.output
+
+    def test_thread_count_is_not_left_set(self, threads_at_start):
+        # collecting or running the acceptance gate once set it for every later test
+        assert os.environ.get("SMIRNOV_THREADS") == threads_at_start
 
     def test_memo_file_round_trip(self, tmp_path):
         memo = str(tmp_path / "memo.json")

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, height,
-                           height_array, omp_dinv, omp_inv, project, sdinv,
-                           sdinv_count, sminv, sminv_count)
+from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, height_array,
+                           omp_dinv, omp_inv, project, sdinv, sdinv_count,
+                           sminv, sminv_count)
 from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify,
                            enumerate_words, parse_word)
 
@@ -75,13 +75,6 @@ class TestHeights:
         # worked tables for the example word at m = 3 and m = 1
         assert height_array(W, 3) == (0, 1, 1, 0, 0, 1, 2, 0, 1)
         assert height_array(W, 1) == (0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-    def test_height_accessor_and_range(self):
-        assert height(W, 3, 7) == 2
-        with pytest.raises(ValueError):
-            height(W, 3, 0)
-        with pytest.raises(ValueError):
-            height(W, 3, 10)
 
     @given(words())
     @settings(max_examples=60, deadline=None)
