@@ -23,15 +23,6 @@ def _parse_mu(text: str) -> tuple:
     return mu
 
 
-def _load_memo(memo_file) -> None:
-    """Merge an existing --memo-file into the default table; a bad file is a usage error."""
-    if memo_file and os.path.exists(memo_file):
-        try:
-            qengine._DEFAULT_TABLE.load(memo_file)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-
-
 @click.group()
 def main():
     """Segmented Smirnov words: enumeration, q-statistics, and verification."""
@@ -91,9 +82,7 @@ def cmd_stat(word_text, stat_name, as_json):
               help="Random instances per kind (insertion-lemmas only).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@click.option("--memo-file", type=click.Path(), default=None,
-              help="Load/store the coefficient memo table as JSON.")
-def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
+def cmd_verify(suite, n_max, instances, seed, as_json):
     """Run a verification suite; exit status 0 iff every case passes."""
     names = list(verify.SUITES) if suite == "all" else [suite]
     try:
@@ -102,10 +91,7 @@ def cmd_verify(suite, n_max, instances, seed, as_json, memo_file):
             verify.suite_bound(name, n_max, instances)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _load_memo(memo_file)
     reports = [verify.run_suite(name, n_max, instances, seed) for name in names]
-    if memo_file:
-        qengine._DEFAULT_TABLE.dump(memo_file)
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))
     else:
@@ -151,22 +137,19 @@ def cmd_table(kind, n, fmt, memo_file):
     """Print the coefficient table (h-coeff) or the Hilbert-series table."""
     if n < 0:
         raise click.UsageError("n must be nonnegative")
-    _load_memo(memo_file)
-    rows = []
+    if memo_file and os.path.exists(memo_file):
+        try:
+            qengine._DEFAULT_TABLE.load(memo_file)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     hilbert = None
     if kind == "hilbert":
         hilbert = qengine.hilbert_table(n)
-        for (k, l), poly in sorted(hilbert.items()):
-            rows.append((n, k, l, "1^%d" % n, str(poly)))
+        rows = [(n, k, l, "1^%d" % n, str(poly)) for (k, l), poly in hilbert.items()]
     else:
-        for mu in words.partitions_of(n):
-            mu_text = ",".join(str(p) for p in mu) or "-"
-            for k in range(max(n, 1)):
-                for l in range(max(n - k, 1) if n else 1):
-                    if n > 0 and k + l >= n:
-                        continue
-                    poly = qengine.sf_h_coefficient(n, k, l, mu)
-                    rows.append((n, k, l, mu_text, str(poly)))
+        rows = [(n, k, l, ",".join(map(str, mu)) or "-",
+                 str(qengine.sf_h_coefficient(n, k, l, mu)))
+                for mu in words.partitions_of(n) for k, l in qengine.cells(n)]
     if memo_file:
         qengine._DEFAULT_TABLE.dump(memo_file)
     if fmt == "csv":

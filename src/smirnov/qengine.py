@@ -58,7 +58,7 @@ class QPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = QPolynomial((other,))
+            return self.coeffs == ((other,) if other else ())
         if not isinstance(other, QPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -397,7 +397,13 @@ def histogram_poly(counts: dict) -> QPolynomial:
     return QPolynomial(out)
 
 
+def cells(n: int) -> list:
+    """The cells (k, l) of size n: every k + l < n, or (0, 0) alone when n = 0."""
+    if n == 0:
+        return [(0, 0)]
+    return [(k, l) for k in range(n) for l in range(n - k)]
+
+
 def hilbert_table(n: int) -> dict:
-    """Table (k, l) -> standard_q_count(n, k, l) over all k + l < n."""
-    return {(k, l): standard_q_count(n, k, l)
-            for k in range(n) for l in range(n - k)}
+    """Table (k, l) -> standard_q_count(n, k, l) over the cells of size n."""
+    return {(k, l): standard_q_count(n, k, l) for k, l in cells(n)}

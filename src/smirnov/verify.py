@@ -4,6 +4,7 @@ classical models.  Used by the CLI and by the acceptance tests."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -14,12 +15,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, NamedTuple
 
 from . import models, paths, quasisym
-from .qengine import (QPolynomial, histogram_poly, q_binomial, sf_h_coefficient,
+from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coefficient,
                       standard_q_count)
 from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
                     sdinv_count, sminv, sminv_count)
-from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
-                    shapes_for, words_of_length)
+from .words import (INSERTION_KINDS, SegmentedSmirnovWord, enumerate_words, insert_many,
+                    partitions_of, shapes_for, words_of_length)
 
 
 @dataclass(frozen=True)
@@ -107,48 +108,46 @@ def _distributions(mu: tuple, *stat_fns) -> list:
             for bucket in buckets]
 
 
+def _mismatch(n: int, dist: dict, recursion: Callable) -> str:
+    """Where recursion(k, l) and the enumerator dist of a content of size n
+    differ: the first cell of size n, or a cell outside them that holds words;
+    "" when they agree."""
+    inside = cells(n)
+    for k, l in inside:
+        rec, enum = recursion(k, l), dist.get((k, l), QPolynomial.zero())
+        if rec != enum:
+            return "k=%d l=%d recursion=%s enumeration=%s" % (k, l, rec, enum)
+    outside = sorted(kl for kl, poly in dist.items() if poly and kl not in inside)
+    return "words found outside the cells at (k,l)=%s" % (outside[0],) if outside else ""
+
+
 # --- main-theorem suite -----------------------------------------------------
 
 def _case_main_mu(mu: tuple) -> CaseResult:
     n = sum(mu)
-    key = "main-theorem mu=%s" % (mu,)
     [dist] = _distributions(mu, sminv_count)
-    for k in range(n + 1):
-        for l in range(n - k):
-            lhs = sf_h_coefficient(n, k, l, mu)
-            rhs = dist.get((k, l), QPolynomial.zero())
-            if lhs != rhs:
-                return CaseResult(key, False,
-                                  "k=%d l=%d recursion=%s enumeration=%s"
-                                  % (k, l, lhs, rhs))
-    for (k, l), poly in dist.items():
-        if n > 0 and k + l >= n and poly:
-            return CaseResult(key, False, "words found with k+l >= n at k=%d l=%d" % (k, l))
-    return CaseResult(key, True)
+    witness = _mismatch(n, dist, lambda k, l: sf_h_coefficient(n, k, l, mu))
+    return CaseResult("main-theorem mu=%s" % (mu,), not witness, witness)
 
 
 def _case_standard(n: int) -> CaseResult:
-    key = "standard-case n=%d" % n
+    """The standard recursion and the general one against the enumeration of
+    1^n; the standard recursion must also vanish on the cells k + l = n."""
     [dist] = _distributions((1,) * n, sminv_count)
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            rec = standard_q_count(n, k, l)
-            enum = dist.get((k, l), QPolynomial.zero())
-            if rec != enum:
-                return CaseResult(key, False, "k=%d l=%d recursion=%s enumeration=%s"
-                                  % (k, l, rec, enum))
-            if n == 0 or k + l < n:
-                alg = sf_h_coefficient(n, k, l, (1,) * n)
-                if alg != rec:
-                    return CaseResult(key, False, "k=%d l=%d table=%s standard=%s"
-                                      % (k, l, alg, rec))
-    return CaseResult(key, True)
+    standard = functools.partial(standard_q_count, n)
+    edge = [(k, n - k) for k in range(n + 1)] if n else []  # k + l = n: no block, no word
+    witness = (_mismatch(n, dist, standard)
+               or _mismatch(n, dist, lambda k, l: sf_h_coefficient(n, k, l, (1,) * n))
+               or next(("k=%d l=%d recursion=%s, not 0" % (k, l, standard(k, l))
+                        for k, l in edge if standard(k, l)), ""))
+    return CaseResult("standard-case n=%d" % n, not witness, witness)
 
 
 def _case_symmetry(mu: tuple) -> CaseResult:
     key = "symmetry mu=%s" % (mu,)
-    [reference] = _distributions(tuple(sorted(mu, reverse=True)), sminv_count)
-    for perm in set(itertools.permutations(mu)):
+    first, *rest = sorted(set(itertools.permutations(mu)), reverse=True)  # mu sorted first
+    [reference] = _distributions(first, sminv_count)
+    for perm in rest:
         [dist] = _distributions(perm, sminv_count)
         if dist != reference:
             return CaseResult(key, False, "rearrangement %s changes the enumerator" % (perm,))
@@ -236,10 +235,10 @@ def _case_bijection_mu(mu: tuple) -> CaseResult:
             return CaseResult(key, False, "path round trip fails for %s" % D)
     if all_paths != set(images):
         return CaseResult(key, False, "phi is not onto the area-0 paths of content %s" % (mu,))
-    for (k, l), counts in unified_sums.items():
-        poly = histogram_poly(counts)
-        if n > 0 and k + l < n and poly != sf_h_coefficient(n, k, l, mu):
-            return CaseResult(key, False, "unified dinv sum differs at k=%d l=%d" % (k, l))
+    witness = _mismatch(n, {kl: histogram_poly(counts) for kl, counts in unified_sums.items()},
+                        lambda k, l: sf_h_coefficient(n, k, l, mu))
+    if witness:
+        return CaseResult(key, False, "unified dinv sum: " + witness)
     for D, w in images.items():
         k, l = D.rise_count(), D.valley_count()
         if (k == 0 or l == 0) and paths.unified_dinv(D) != paths.path_dinv(D):
@@ -255,32 +254,21 @@ def _case_projection_mu(mu: tuple) -> CaseResult:
     for w in enumerate_words(mu):
         by_kl.setdefault((len(w.ascent_positions()), len(w.descent_positions())), []).append(w)
     for (k, l), words in sorted(by_kl.items()):
-        if l == 0:
-            target = {p.blocks for p in enumerate_omp(mu, n - k)}
-            seen = {}
+        # l = 0 projects onto OP(mu, n - k) with sdinv -> dinv, k = 0 onto
+        # OP(mu, n - l) with sdinv -> inv; sminv goes to inv in both
+        for other, blocks, sdinv_image in ((l, n - k, omp_dinv), (k, n - l, omp_inv)):
+            if other:
+                continue
+            images = set()
             for w in words:
                 p = project(w)
-                if p.blocks in seen:
-                    return CaseResult(key, False, "projection not injective at k=%d" % k)
-                seen[p.blocks] = w
-                if sminv_count(w) != omp_inv(p):
-                    return CaseResult(key, False, "sminv != inv for %s" % w)
-                if sdinv_count(w) != omp_dinv(p):
-                    return CaseResult(key, False, "sdinv != dinv for %s" % w)
-            if set(seen) != target:
-                return CaseResult(key, False, "projection not onto OP(mu, %d)" % (n - k))
-        if k == 0:
-            target = {p.blocks for p in enumerate_omp(mu, n - l)}
-            seen = set()
-            for w in words:
-                p = project(w)
-                seen.add(p.blocks)
-                if sminv_count(w) != omp_inv(p):
-                    return CaseResult(key, False, "sminv != inv for %s (k=0)" % w)
-                if sdinv_count(w) != omp_inv(p):
-                    return CaseResult(key, False, "sdinv != inv for %s (k=0)" % w)
-            if len(seen) != len(words) or seen != target:
-                return CaseResult(key, False, "projection not bijective onto OP(mu, %d)" % (n - l))
+                images.add(p.blocks)
+                if (sminv_count(w), sdinv_count(w)) != (omp_inv(p), sdinv_image(p)):
+                    return CaseResult(key, False, "statistics not carried over for %s" % w)
+            target = {p.blocks for p in enumerate_omp(mu, blocks)}
+            if len(images) != len(words) or images != target:
+                return CaseResult(key, False, "projection at k=%d l=%d not bijective onto "
+                                  "OP(mu, %d)" % (k, l, blocks))
     return CaseResult(key, True)
 
 
@@ -304,25 +292,18 @@ def _random_word(rng: random.Random, n_max: int) -> SegmentedSmirnovWord:
 
 
 def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
+    """The sum of q^stat over the ways to insert s letters m of one kind into w."""
     blocks = len(w.shape)
-    total = QPolynomial.zero()
-    if kind == "peak":
-        sites = range(1, blocks)
-        for subset in itertools.combinations(sites, s):
-            total = total + QPolynomial.q_power(stat_fn(insert_many(w, m, peaks=subset)))
-    elif kind == "double_fall":
-        for subset in itertools.combinations(range(1, blocks + 1), s):
-            total = total + QPolynomial.q_power(stat_fn(insert_many(w, m, falls=subset)))
-    elif kind == "double_rise":
-        for subset in itertools.combinations(range(1, blocks + 1), s):
-            total = total + QPolynomial.q_power(stat_fn(insert_many(w, m, rises=subset)))
-    else:  # singleton
-        for placement in itertools.combinations_with_replacement(range(blocks + 1), s):
-            gaps = [0] * (blocks + 1)
-            for g in placement:
-                gaps[g] += 1
-            total = total + QPolynomial.q_power(stat_fn(insert_many(w, m, gaps=gaps)))
-    return total
+    if kind == "singleton":  # a multiset of s gaps among the blocks + 1
+        images = (insert_many(w, m, gaps=[placement.count(g) for g in range(blocks + 1)])
+                  for placement in itertools.combinations_with_replacement(range(blocks + 1), s))
+    else:  # a set of s sites
+        arg, sites = {"peak": ("peaks", range(1, blocks)),
+                      "double_fall": ("falls", range(1, blocks + 1)),
+                      "double_rise": ("rises", range(1, blocks + 1))}[kind]
+        images = (insert_many(w, m, **{arg: subset})
+                  for subset in itertools.combinations(sites, s))
+    return histogram_poly(Counter(map(stat_fn, images)))
 
 
 def _expected_enumerator(kind: str, B: int, s: int) -> QPolynomial:
@@ -366,7 +347,7 @@ def _insertion_tasks(n_max: int, instances: int, seed: int) -> List[tuple]:
     batch_size = 50
     return [(_case_insertion,
              (kind, start // batch_size, min(batch_size, instances - start), seed, n_max))
-            for kind in ("peak", "double_fall", "double_rise", "singleton")
+            for kind in INSERTION_KINDS
             for start in range(0, instances, batch_size)]
 
 
@@ -418,7 +399,7 @@ def _quasisym_tasks(n_max: int, *_) -> List[tuple]:
     tasks = []
     for n in range(n_max + 1, 0, -1):
         if n <= n_max:
-            tasks += [(_case_expansion, (n, k, l)) for k in range(n) for l in range(n - k)]
+            tasks += [(_case_expansion, (n, k, l)) for k, l in cells(n)]
         if n <= min(n_max + 1, 6):
             tasks.append((_case_standardization, (n, min(4, n))))
         if n <= min(n_max, 4):
@@ -444,31 +425,29 @@ def _case_avoidance(n: int) -> CaseResult:
 
 def _case_noncrossing(n: int) -> CaseResult:
     key = "noncrossing n=%d" % n
-    avoiders_by_descents: dict = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        if models.is_231_avoiding(perm):
-            d = sum(1 for i in range(n - 1) if perm[i] > perm[i + 1])
-            avoiders_by_descents.setdefault(d, set()).add(perm)
-    partitions_by_blocks: dict = {}
+    descents = {perm: sum(a > b for a, b in zip(perm, perm[1:]))
+                for perm in itertools.permutations(range(1, n + 1))
+                if models.is_231_avoiding(perm)}
+    partitions_by_blocks: Counter = Counter()
     images = set()
     for p in models.enumerate_noncrossing(n):
         perm = models.noncrossing_to_permutation(p)
-        if not models.is_231_avoiding(perm):
-            return CaseResult(key, False, "image %s is not 231-avoiding" % (perm,))
+        if perm not in descents:
+            return CaseResult(key, False, "image %s is not a 231-avoiding permutation" % (perm,))
         if models.permutation_to_noncrossing(perm) != p:
             return CaseResult(key, False, "decreasing runs do not invert %s" % (p.blocks,))
         # blocks are decreasing runs, junctions are ascents: n - #blocks descents
-        d = sum(1 for i in range(n - 1) if perm[i] > perm[i + 1])
-        if d != n - len(p.blocks):
-            return CaseResult(key, False, "image of %s has %d descents" % (p.blocks, d))
+        if descents[perm] != n - len(p.blocks):
+            return CaseResult(key, False, "image of %s has %d descents"
+                              % (p.blocks, descents[perm]))
         images.add(perm)
-        partitions_by_blocks[len(p.blocks)] = partitions_by_blocks.get(len(p.blocks), 0) + 1
-    all_avoiders = set().union(*avoiders_by_descents.values()) if avoiders_by_descents else set()
-    if images != all_avoiders:
+        partitions_by_blocks[len(p.blocks)] += 1
+    if images != set(descents):
         return CaseResult(key, False, "images are not exactly the 231-avoiders")
     # Narayana refinement: as many partitions with l+1 blocks as avoiders with l descents
+    avoiders_by_descents = Counter(descents.values())
     for l in range(n):
-        if partitions_by_blocks.get(l + 1, 0) != len(avoiders_by_descents.get(l, set())):
+        if partitions_by_blocks[l + 1] != avoiders_by_descents[l]:
             return CaseResult(key, False, "Narayana refinement fails at %d descents" % l)
     return CaseResult(key, True)
 

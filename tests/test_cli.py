@@ -6,7 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from smirnov import verify
+from smirnov import qengine, verify
 from smirnov.cli import main
 from smirnov.qengine import QPolynomial
 
@@ -130,18 +130,27 @@ class TestVerify:
         assert "[FAIL] standard-case n=4 -- k=0 l=0 recursion=7" in result.output
         assert "5 failed" in result.output
 
+    def test_empty_content_is_compared(self, monkeypatch):
+        # main-theorem mu=() used to compare no cell and pass whatever the recursion gave
+        monkeypatch.setenv("SMIRNOV_THREADS", "1")
+        real = verify.sf_h_coefficient
+        monkeypatch.setattr(verify, "sf_h_coefficient", lambda n, k, l, mu: (
+            QPolynomial((5,)) if n == 0 else real(n, k, l, mu)))
+        report = verify.run_suite("main-theorem", 0)
+        failed = {c.key: c.witness for c in report.cases if not c.ok}
+        assert failed.keys() == {"main-theorem mu=()", "standard-case n=0"}
+        assert failed["main-theorem mu=()"] == "k=0 l=0 recursion=5 enumeration=1"
+
+    def test_memo_file_is_not_an_option(self, tmp_path):
+        # pool workers never handed their values back, so the file lost them
+        result = run("verify", "--suite", "main-theorem", "--n-max", "2",
+                     "--memo-file", str(tmp_path / "memo.json"))
+        assert result.exit_code == 2
+        assert not (tmp_path / "memo.json").exists()
+
     def test_thread_count_is_not_left_set(self, threads_at_start):
         # collecting or running the acceptance gate once set it for every later test
         assert os.environ.get("SMIRNOV_THREADS") == threads_at_start
-
-    def test_memo_file_round_trip(self, tmp_path):
-        memo = str(tmp_path / "memo.json")
-        first = run("verify", "--suite", "main-theorem", "--n-max", "3",
-                    "--memo-file", memo)
-        assert first.exit_code == 0
-        second = run("verify", "--suite", "main-theorem", "--n-max", "3",
-                     "--memo-file", memo)
-        assert second.exit_code == 0
 
 
 class TestTable:
@@ -158,6 +167,23 @@ class TestTable:
         lines = result.output.strip().splitlines()
         assert lines[0] == "n,k,l,mu,poly"
         assert any('"1,1,1","3+q"' in line for line in lines)
+
+    def test_hilbert_zero_has_its_row(self):
+        # n = 0 used to print the header and "trivariate: 0" alone
+        result = run("table", "--kind", "hilbert", "--n", "0")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1:] == ["  0   0   0 1^0        1", "trivariate: 1"]
+
+    def test_memo_file_round_trip(self, tmp_path, monkeypatch):
+        memo = str(tmp_path / "memo.json")
+        outputs = []
+        for _ in range(2):  # each run starts from an empty table; the second reads the file
+            monkeypatch.setattr(qengine, "_DEFAULT_TABLE", qengine.SfCoefficientTable())
+            result = run("table", "--kind", "h-coeff", "--n", "4", "--memo-file", memo)
+            assert result.exit_code == 0
+            outputs.append(result.output)
+        assert qengine._DEFAULT_TABLE.memo
+        assert outputs[1] == outputs[0]
 
     def test_negative_n_rejected(self):
         result = run("table", "--kind", "hilbert", "--n", "-1")
@@ -180,8 +206,7 @@ class TestTable:
         assert "checksum" in result.output and memo in result.output
         assert "99" not in result.output
 
-    @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"],
-                                         ["verify", "--suite", "main-theorem", "--n-max", "2"]])
+    @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"]])
     def test_malformed_memo_is_usage_error(self, tmp_path, command):
         # this file used to end in a raw KeyError traceback
         memo = tmp_path / "memo.json"

@@ -151,6 +151,11 @@ class TestQPolynomial:
         assert QPolynomial.zero() == 0
         assert QPolynomial((1, 1)) != 2
 
+    def test_comparison_with_a_negative_int_is_false(self):
+        # building a polynomial from -1 used to raise ValueError
+        assert (QPolynomial((1,)) == -1) is False
+        assert QPolynomial.zero() != -3
+
     @given(polys, polys)
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
@@ -323,6 +328,12 @@ class TestRecursion:
         assert table[(1, 1)] == QPolynomial((3, 1))
         assert table[(0, 2)] == 1
         assert set(table) == {(k, l) for k in range(3) for l in range(3 - k)}
+
+    def test_cells(self):
+        assert qengine.cells(0) == [(0, 0)]
+        assert hilbert_table(0) == {(0, 0): QPolynomial.one()}
+        assert qengine.cells(3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+        assert all(len(qengine.cells(n)) == n * (n + 1) // 2 for n in range(1, 9))
 
 
 def _write_memo(path, entries, digest=None):
