@@ -3,7 +3,7 @@
 
 For each n the table lists the q-polynomial in every (k, l) cell with
 k + l < n, the trivariate rendering in q, u, v, and the q = 1 total,
-which must equal |SW(1^n)| = n! * 2^(n-1).
+which must equal |SW(1^n)|: n! * 2^(n-1), or 1 (the empty word) at n = 0.
 
 Usage: python scripts/hilbert_tables.py [--n-max N] [--json]
 """
@@ -16,6 +16,11 @@ from smirnov.cli import _trivariate
 from smirnov.qengine import hilbert_table
 
 
+def cardinality(n: int) -> int:
+    """|SW(1^n)|: n! orders of the letters, each gap cut or not; one empty word."""
+    return math.factorial(n) << (n - 1) if n else 1
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=8)
@@ -23,10 +28,10 @@ def main() -> None:
     args = parser.parse_args()
 
     payload = []
-    for n in range(1, args.n_max + 1):
+    for n in range(args.n_max + 1):
         table = hilbert_table(n)
         total = sum(poly(1) for poly in table.values())
-        expected = math.factorial(n) * 2 ** (n - 1)
+        expected = cardinality(n)
         if args.json:
             payload.append({
                 "n": n,
@@ -45,10 +50,8 @@ def main() -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        assert all(
-            sum(poly(1) for poly in hilbert_table(n).values())
-            == math.factorial(n) * 2 ** (n - 1)
-            for n in range(1, args.n_max + 1))
+        assert all(sum(poly(1) for poly in hilbert_table(n).values()) == cardinality(n)
+                   for n in range(args.n_max + 1))
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ nonnegative integers and subtraction is deliberately absent.
 
 from __future__ import annotations
 
-import functools
-import json
+import collections
+import math
 import operator
 import os
-import threading
+import sys
+from array import array
 from typing import Iterable, Sequence
 
 
@@ -81,14 +82,8 @@ class QPolynomial:
         # Kronecker substitution q -> 2^(8w): a product coefficient is a sum of
         # at most min(len) terms, each below 2^(bits(max a) + bits(max b)), so it
         # fits in a w-byte slot and no slot carries into the next one.
-        w = (max(a).bit_length() + max(b).bit_length()
-             + min(len(a), len(b)).bit_length() + 7) >> 3
-        x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-        y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
-        size = w * (len(a) + len(b) - 1)
-        data = (x * y).to_bytes(size, "little")
-        return _poly(tuple([int.from_bytes(data[i:i + w], "little")
-                            for i in range(0, size, w)]))
+        w = _slot(max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length())
+        return _unpack(_pack(a, w) * _pack(b, w), w)
 
     __rmul__ = __mul__
 
@@ -139,40 +134,165 @@ _ZERO = _poly(())
 _ONE = _poly((1,))
 
 
-class _FillState(threading.local):
-    active = False
+# --- packed ints ------------------------------------------------------------
+# The recursions below run on plain ints.  A polynomial P whose coefficients
+# lie in [0, 2^(8w)) is held as P(2^(8w)): one w-byte slot per coefficient,
+# lowest degree first.  `+`, `*` and `<< 8w·k` (times q^k) are exact on these
+# ints whatever they hold, so only unpacking needs each coefficient of the
+# result to fit in its slot.  Every value unpacked is a count with
+# nonnegative coefficients, each at most its value at q = 1.
+
+_NATIVE = {array(code).itemsize: code for code in "BHILQ"}  # slot bytes -> array type code
 
 
-_fill_state = _FillState()
+def _slot(bits: int) -> int:
+    """Bytes of a slot that holds `bits` bits: 1, 2, 4 or 8, which `_unpack`
+    reads as an `array` at C speed, or the bytes needed beyond that."""
+    w = (bits + 7) >> 3
+    return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
-def _fill_bottom_up(fn, cells: Iterable[tuple]) -> None:
-    """Call the memoized recursion `fn` on `cells`, given predecessors first.
+def _count_slot(n: int) -> int:
+    """The slot for the counts of size <= n: W = bits(n! 2^n) + 1 bits.
 
-    Each of those calls then finds the cells it recurses into already cached,
-    so the stack stays a few frames deep at any size.  Calls made while a fill
-    runs in this thread skip their own fill: their predecessors are cached.
+    A Smirnov word of size m has one of at most m! letter orders and 2^(m-1)
+    cuttings, so no coefficient of an h-coefficient or a Hilbert cell of size
+    m <= n exceeds n! 2^(n-1) < 2^W.
     """
-    if _fill_state.active:
-        return
-    _fill_state.active = True
-    try:
-        for cell in cells:
-            fn(*cell)
-    finally:
-        _fill_state.active = False
+    return _slot((math.factorial(n) << n).bit_length() + 1)
 
 
-@functools.lru_cache(maxsize=None)
-def q_binomial(a: int, b: int) -> QPolynomial:
-    """Gaussian binomial [a choose b]_q; zero when b < 0 or b > a (so for all a < 0)."""
-    if b < 0 or b > a:
+def _pack(coeffs: Iterable[int], w: int) -> int:
+    """The value at q = 2^(8w) of the polynomial with these coefficients."""
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+
+
+def _unpack(x: int, w: int) -> QPolynomial:
+    """The polynomial whose value at q = 2^(8w) is x, each coefficient below 2^(8w)."""
+    if not x:
         return _ZERO
-    if b == 0 or b == a:
-        return _ONE
-    _fill_bottom_up(q_binomial, ((a2, b2) for a2 in range(2, a)
-                                 for b2 in range(max(1, b - (a - a2)), min(b, a2 - 1) + 1)))
-    return q_binomial(a - 1, b - 1) + q_binomial(a - 1, b).times_q_power(b)
+    size = -(-x.bit_length() // (8 * w)) * w
+    data = x.to_bytes(size, "little")
+    code = _NATIVE.get(w)
+    if code is None:
+        return _poly(tuple([int.from_bytes(data[i:i + w], "little") for i in range(0, size, w)]))
+    slots = array(code, data)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return _poly(tuple(slots))
+
+
+def _fill(packed: dict, top, children, value) -> list:
+    """Put `top` and every key below it that `packed` lacks into `packed`,
+    lowest level first; return the keys added.
+
+    `children(key)` names the keys one level down that `value(key)` reads
+    and that must be computed first; `value` knows every other key it reads
+    (a base case, or zero outside the recursion's domain).  Only missing keys
+    are visited, and nothing recurses, so the stack stays flat at any size.
+    """
+    todo, levels = [top], []
+    while todo:
+        levels.append(todo)
+        todo = list({c for key in todo for c in children(key) if c not in packed})
+    added = []
+    for keys in reversed(levels):
+        for key in keys:
+            packed[key] = value(key)
+        added += keys
+    return added
+
+
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PackedRecursion:
+    """A recursion on packed ints, called like the `functools.lru_cache`
+    function it stands for, with the same `cache_clear()` and `cache_info()`.
+
+    `values` holds what callers were handed, each unpacked once.  `packed`
+    holds every key computed at the current slot width `w` (bytes), filled
+    by `_fill` from the subclass's `_children` and `_value`.  A query that
+    needs wider slots starts `packed` again from `SEED`: narrower slots are
+    never reused.  Like `SfCoefficientTable`, it serves one thread; the
+    verification pool's workers are processes, each with its own.
+    """
+
+    SEED: dict = {}
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        """Drop every value, packed or not, and the hit and miss counts."""
+        self.values, self.packed, self.w, self.shift = {}, dict(self.SEED), 0, 0
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self.values))
+
+    def _get(self, key: tuple, size: int) -> QPolynomial:
+        hit = self.values.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        x = self._packed(key, self._width(size))
+        hit = self.values[key] = _unpack(x, self.w)
+        return hit
+
+    def _packed(self, key: tuple, w: int) -> int:
+        """The packed value of `key` at slots of self.w >= w bytes; a miss
+        is a call that has to compute it."""
+        if w > self.w:
+            self.w, self.shift, self.packed = w, 8 * w, dict(self.SEED)
+        x = self.packed.get(key)
+        if x is not None:
+            self.hits += 1
+            return x
+        self.misses += 1
+        _fill(self.packed, key, self._children, self._value)
+        return self.packed[key]
+
+
+class _QBinomial(_PackedRecursion):
+    """Gaussian binomial [a choose b]_q; zero when b < 0 or b > a (so for all a < 0).
+
+    By q-Pascal, [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b]; a query
+    fills the band of rows below it that this reaches.
+    """
+
+    def __call__(self, a: int, b: int) -> QPolynomial:
+        if b < 0 or b > a:
+            return _ZERO
+        if b == 0 or b == a:
+            return _ONE
+        return self._get((a, b), a)
+
+    @staticmethod
+    def _width(a: int) -> int:
+        return _slot(a + 1)  # coefficients are at most C(a, b) < 2^a
+
+    def _packed(self, key: tuple, w: int) -> int:
+        a, b = key
+        if b < 0 or b > a:
+            return 0
+        if b == 0 or b == a:
+            return 1
+        return super()._packed(key, w)
+
+    @staticmethod
+    def _children(key: tuple) -> list:
+        a, b = key
+        return [(a - 1, c) for c in (b - 1, b) if 0 < c < a - 1]
+
+    def _value(self, key: tuple) -> int:
+        a, b = key
+        get = self.packed.get
+        # the children left out of `_children` are edges of the triangle, where [a-1 choose c] = 1
+        return get((a - 1, b - 1), 1) + (get((a - 1, b), 1) << b * self.shift)
+
+
+q_binomial = _QBinomial()
 
 
 def q_int(n: int) -> QPolynomial:
@@ -204,13 +324,24 @@ class SfCoefficientTable:
     The recursion strips the j occurrences of the largest letter (j = last
     positive part of mu) and sums over 0 <= r, a <= j the sub-coefficient
     times the factor F(B, j, r, a), itself a sum over 0 <= i <= j of four
-    q-binomials (`factor`).  F does not depend on mu or on the sub-problem, so
-    each table caches it in `factors` beside `memo`.
+    q-binomials (`_factor`).  F does not depend on mu or on the sub-problem,
+    so each table caches it in `factors`.
+
+    The recursion runs on packed ints (see `_pack`) at slots of `w` bytes,
+    set by the largest n the table has served: `packed` holds every key
+    computed at that width, `factors` the packed F and `binomials` the packed
+    q-binomials.  `memo` holds every computed key, unpacked once, and what
+    `load` merged.
     """
 
     def __init__(self):
         self.memo: dict = {}
-        self.factors: dict = {}
+        self._widen(0)
+
+    def _widen(self, w: int) -> None:
+        """Start the packed state again, at slots of w bytes."""
+        self.w, self.shift = w, 8 * w
+        self.packed, self.factors, self.binomials = {(0, 0, 0, ()): 1}, {}, _QBinomial()
 
     def coefficient(self, n: int, k: int, l: int, mu: tuple) -> QPolynomial:
         if n == 0:
@@ -221,45 +352,59 @@ class SfCoefficientTable:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
+        w = _count_slot(n)
+        if w > self.w:
+            self._widen(w)
+        for new in _fill(self.packed, key, self._children, self._value):
+            self.memo[new] = _unpack(self.packed[new], self.w)
+        return self.memo[key]
+
+    @staticmethod
+    def _children(key: tuple) -> list:
+        n, k, l, mu = key
         j = mu[-1]  # multiplicity of the largest letter (mu sorted descending)
-        mu_minus = mu[:-1]
-        B = n - k - l
-        total = _ZERO
-        for r in range(j + 1):
-            for a in range(j + 1):
-                sub = self.coefficient(n - j, k - r, l - a, mu_minus)
+        m, rest = n - j, mu[:-1]
+        return [(m, k2, l2, rest) for k2 in range(max(0, k - j), k + 1)
+                for l2 in range(max(0, l - j), min(l, m - 1 - k2) + 1)]
+
+    def _value(self, key: tuple) -> int:
+        n, k, l, mu = key
+        j = mu[-1]
+        m, rest = n - j, mu[:-1]
+        B, get, factors = n - k - l, self.packed.get, self.factors
+        total = 0
+        for r in range(min(j, k) + 1):
+            for a in range(min(j, l) + 1):
+                sub = get((m, k - r, l - a, rest))
                 if sub:
-                    total = total + self.factor(B, j, r, a) * sub
-        self.memo[key] = total
+                    F = factors.get((B, j, r, a))
+                    total += (self._factor(B, j, r, a) if F is None else F) * sub
         return total
 
-    def factor(self, B: int, j: int, r: int, a: int) -> QPolynomial:
-        """F(B, j, r, a): the sum over i of the four-binomial product.
+    def _factor(self, B: int, j: int, r: int, a: int) -> int:
+        """F(B, j, r, a), packed: the sum over i of the four-binomial product.
 
         Terms with i > min(r, a) vanish, because a q-binomial with a negative
         lower index is zero.
         """
-        key = (B, j, r, a)
-        F = self.factors.get(key)
-        if F is not None:
-            return F
-        F = _ZERO
+        qb, w = self.binomials._packed, self.w
+        F = 0
         for i in range(min(r, a) + 1):
             d = j - r - a + i
-            term = (q_binomial(B, d)
-                    * q_binomial(B - d, a - i).times_q_power(_binom2(a - i))
-                    * q_binomial(B - d, r - i).times_q_power(_binom2(r - i)))
+            term = (qb((B, d), w) * qb((B - d, a - i), w) * qb((B - d, r - i), w)
+                    << (_binom2(a - i) + _binom2(r - i)) * self.shift)
             if i:  # for i = 0 the peak factor is the empty product,
                 # even when the intermediate word has no separators
-                term = term * q_binomial(B - (j - r - a) - 1, i)
-            F = F + term
-        self.factors[key] = F
+                term *= qb((B - (j - r - a) - 1, i), w)
+            F += term
+        self.factors[B, j, r, a] = F
         return F
 
     def dump(self, path: str) -> None:
         """Write the memo atomically: a temporary file in the same directory,
         then a rename over `path`.  The file records MEMO_VERSION and the
         SHA-256 of its compact entries list, which `load` checks."""
+        import json  # here and in _memo_entries: json adds ~2.5 ms to `import smirnov`
         import tempfile
 
         entries = json.dumps([[n, k, l, list(mu), list(map(str, poly.coeffs))]
@@ -289,7 +434,7 @@ class SfCoefficientTable:
         """
         try:
             with open(path, encoding="utf-8") as fh:
-                self.memo.update(_memo_entries(json.loads(fh.read())))
+                self.memo.update(_memo_entries(fh.read()))
         except ValueError as exc:
             raise ValueError("memo file %s: %s" % (path, exc)) from None
 
@@ -300,14 +445,26 @@ def _digest(entries: str) -> str:
     return hashlib.sha256(entries.encode()).hexdigest()
 
 
-def _memo_entries(data) -> dict:
-    """The checked {key: QPolynomial} of a parsed memo file (see `load`)."""
-    if not isinstance(data, dict) or data.get("version") != MEMO_VERSION:
+# {"version": V, "sha256": "<hex>", "entries": ...}, up to the entries
+_MEMO_HEAD = r'\s*\{\s*"version"\s*:\s*(\d+)\s*,\s*"sha256"\s*:\s*"(\w*)"\s*,\s*"entries"\s*:\s*'
+
+
+def _memo_entries(text: str) -> dict:
+    """The checked {key: QPolynomial} of the text of a memo file (see `load`).
+
+    The checksum covers the entries list as the file spells it."""
+    import json
+    import re
+
+    head = re.match(_MEMO_HEAD, text)
+    if head is None or head[1] != str(MEMO_VERSION):
         raise ValueError("not a version-%d memo" % MEMO_VERSION)
-    entries = data.get("entries")
+    entries, end = json.JSONDecoder().raw_decode(text, head.end())
+    if text[end:].strip() != "}":
+        raise ValueError("not a version-%d memo" % MEMO_VERSION)
     if not isinstance(entries, list):
         raise ValueError("no entries list")
-    if data.get("sha256") != _digest(json.dumps(entries, separators=(",", ":"))):
+    if head[2] != _digest(text[head.end():end]):
         raise ValueError("checksum mismatch: the entries were changed after they were written")
     memo = {}
     for entry in entries:
@@ -351,22 +508,41 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
     return table.coefficient(n, k, l, key)
 
 
-@functools.lru_cache(maxsize=None)
-def standard_q_count(n: int, k: int, l: int) -> QPolynomial:
-    """SW_q(1^n, k, l) by the standard-case recursion; zero when k+l >= n > 0."""
-    if n == 0:
-        return _ONE if (k, l) == (0, 0) else _ZERO
-    if n < 0 or k < 0 or l < 0 or k + l >= n:
-        return _ZERO
-    _fill_bottom_up(standard_q_count, (
-        (m, k2, l2) for m in range(1, n)
-        for k2 in range(max(0, k - (n - m)), k + 1)
-        for l2 in range(max(0, l - (n - m)), min(l, m - 1 - k2) + 1)))
-    rest = (standard_q_count(n - 1, k, l)
-            + standard_q_count(n - 1, k, l - 1)
-            + standard_q_count(n - 1, k - 1, l)
-            + standard_q_count(n - 1, k - 1, l - 1))
-    return q_int(n - k - l) * rest
+class _StandardCount(_PackedRecursion):
+    """SW_q(1^n, k, l) by the standard-case recursion; zero when k+l >= n > 0.
+
+    H(n, k, l) = [n-k-l]_q (H(n-1, k, l) + H(n-1, k, l-1) + H(n-1, k-1, l)
+    + H(n-1, k-1, l-1)); a query fills the rows below it that this reaches.
+    """
+
+    SEED = {(0, 0, 0): 1}
+
+    def __call__(self, n: int, k: int, l: int) -> QPolynomial:
+        if n == 0:
+            return _ONE if (k, l) == (0, 0) else _ZERO
+        if n < 0 or k < 0 or l < 0 or k + l >= n:
+            return _ZERO
+        return self._get((n, k, l), n)
+
+    _width = staticmethod(_count_slot)
+
+    @staticmethod
+    def _children(key: tuple) -> list:
+        n, k, l = key
+        return [(n - 1, k2, l2) for k2 in (k - 1, k) for l2 in (l - 1, l)
+                if k2 >= 0 and l2 >= 0 and k2 + l2 < n - 1]
+
+    def _value(self, key: tuple) -> int:
+        n, k, l = key
+        get = self.packed.get
+        rest = (get((n - 1, k, l), 0) + get((n - 1, k, l - 1), 0)
+                + get((n - 1, k - 1, l), 0) + get((n - 1, k - 1, l - 1), 0))
+        # [B]_q = (q^B - 1) / (q - 1): dividing by one slot costs time linear
+        # in the size of rest, where multiplying by B slots does not
+        return ((rest << (n - k - l) * self.shift) - rest) // ((1 << self.shift) - 1)
+
+
+standard_q_count = _StandardCount()
 
 
 def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") -> QPolynomial:

@@ -141,6 +141,16 @@ class TestVerify:
         assert failed.keys() == {"main-theorem mu=()", "standard-case n=0"}
         assert failed["main-theorem mu=()"] == "k=0 l=0 recursion=5 enumeration=1"
 
+    def test_words_outside_the_cells_are_reported(self):
+        # no segmented word has k + l >= n, so only a broken enumerator gets here
+        one = QPolynomial.one()
+        dist = {(0, 0): one, (0, 1): one, (1, 1): one, (2, 0): QPolynomial.zero()}
+        agree = lambda k, l: dist.get((k, l), QPolynomial.zero())  # noqa: E731
+        assert verify._mismatch(2, dist, agree) == \
+            "words found outside the cells at (k,l)=(1, 1)"
+        del dist[1, 1]
+        assert verify._mismatch(2, dist, agree) == ""
+
     def test_memo_file_is_not_an_option(self, tmp_path):
         # pool workers never handed their values back, so the file lost them
         result = run("verify", "--suite", "main-theorem", "--n-max", "2",

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -208,7 +209,6 @@ class TestQBinomial:
 
     @pytest.mark.parametrize("a", range(9))
     def test_symmetry_and_counting(self, a):
-        import math
         for b in range(a + 1):
             assert q_binomial(a, b) == q_binomial(a, a - b)
             assert q_binomial(a, b)(1) == math.comb(a, b)
@@ -220,13 +220,15 @@ class TestQBinomial:
         # Both recursions descend 150+ levels, past a limit of 100 frames.  The
         # cell (n, 1, n - 2) is sum_i C(n, i + 2) q^i, an Eulerian number at q = 1;
         # unlike (n, 0, 0), the q-factorial, it costs milliseconds at n = 150.
+        # The h-coefficient strips one part of mu per level: a thousand levels.
         code = ("import math, sys\n"
-                "from smirnov.qengine import q_binomial, standard_q_count\n"
+                "from smirnov.qengine import q_binomial, sf_h_coefficient, standard_q_count\n"
                 "sys.setrecursionlimit(100)\n"
                 "assert q_binomial(300, 2)(1) == math.comb(300, 2)\n"
                 "poly = standard_q_count(150, 1, 148)\n"
                 "assert poly.coeffs == tuple(math.comb(150, i + 2) for i in range(149))\n"
-                "assert poly(1) == 2 ** 150 - 151\n")
+                "assert poly(1) == 2 ** 150 - 151\n"
+                "assert sf_h_coefficient(1000, 0, 999, (1,) * 1000) == 1\n")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -293,11 +295,26 @@ class TestRecursion:
                     at_one += poly(1)
             assert at_one == _smirnov_word_count(mu), mu
 
+    def test_wider_slots_give_the_same_values(self):
+        # n = 8 needs wider slots than n = 4; the packed state restarts at the new
+        # width, and cells first asked at n = 4 afterwards are computed in it
+        table, memo = SfCoefficientTable(), {}
+        steps = [(4, [(k, 0) for k in range(4)]), (8, qengine.cells(8)), (4, qengine.cells(4))]
+        widths = []
+        for n, cells in steps:
+            for mu in partitions_of(n):
+                for k, l in cells:
+                    poly = sf_h_coefficient(n, k, l, mu, table)
+                    assert poly.coeffs == _old_coefficient(n, k, l, mu, memo), (mu, k, l)
+            widths.append(table.w)
+        assert widths[0] < widths[1] == widths[2]
+        assert all(poly.coeffs == _old_coefficient(*key, memo) for key, poly in table.memo.items())
+
     def test_factors_live_on_the_table(self):
         table = SfCoefficientTable()
         sf_h_coefficient(5, 1, 1, (2, 2, 1), table)
         assert table.factors
-        assert all(isinstance(v, QPolynomial) for v in table.factors.values())
+        assert all(type(v) is int for v in table.factors.values())  # packed at table.w
         assert not SfCoefficientTable().factors
 
     @pytest.mark.parametrize("n", range(7))
@@ -328,6 +345,33 @@ class TestRecursion:
         assert table[(1, 1)] == QPolynomial((3, 1))
         assert table[(0, 2)] == 1
         assert set(table) == {(k, l) for k in range(3) for l in range(3 - k)}
+
+    def test_hilbert_table_matches_a_plain_recursion(self):
+        # the standard-case recursion on coefficient tuples, with schoolbook products
+        ref = {(0, 0, 0): (1,)}
+        standard_q_count.cache_clear()
+        for n in range(15):  # the slots widen from 1 to 8 bytes on the way
+            for k, l in qengine.cells(n):
+                if n:
+                    rest = ()
+                    for dk in (0, 1):
+                        for dl in (0, 1):
+                            rest = _naive_sum(rest, ref.get((n - 1, k - dk, l - dl), ()))
+                    ref[n, k, l] = _naive_product((1,) * (n - k - l), rest)
+            assert {kl: p.coeffs for kl, p in hilbert_table(n).items()} == \
+                {(k, l): ref[n, k, l] for k, l in qengine.cells(n)}, n
+        total = sum(p(1) for p in hilbert_table(30).values())
+        assert total == math.factorial(30) * 2 ** 29
+
+    def test_cache_clear_leaves_nothing(self):
+        for fn, args in ((standard_q_count, (6, 1, 2)), (q_binomial, (7, 3))):
+            fn(*args)
+            assert fn.cache_info().currsize and len(fn.packed) > len(type(fn).SEED)
+            fn.cache_clear()
+            assert fn.cache_info() == (0, 0, None, 0)
+            assert fn.packed == type(fn).SEED
+            fn(*args)
+            assert (fn.cache_info().hits, fn.cache_info().misses) == (0, 1)
 
     def test_cells(self):
         assert qengine.cells(0) == [(0, 0)]
