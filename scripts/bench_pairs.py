@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Run the benchmark of two checkouts in alternating pairs and record the result.
+
+Each side runs its own bench/run.py, from its own directory, one process at a
+time: the parent first in odd pairs, the change first in even pairs.  The
+end-to-end metrics of every run go to BENCH_<label>.json in the current
+directory, per seed and pooled over the seeds: the median, quartiles and runs
+of each side, the change against the parent's median, and the pairs in which
+the change read lower.  A file that already exists keeps its other workloads
+and its hand-written "change", "claim" and "notes".
+
+Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W
+           --seeds 0 1 --pairs 5 --label L [--seconds 40] [--size full]
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float, size: str) -> dict:
+    """The JSON result line of one `bench/run.py --trace 0` run in `root`."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0", "--size", size],
+        cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit("bench in %s failed:\n%s" % (root, proc.stderr))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def spread(runs: list) -> dict:
+    if len(runs) > 1:
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    else:
+        q1 = q3 = runs[0]
+    return {"median": round(statistics.median(runs), 6), "q1": round(q1, 6),
+            "q3": round(q3, 6), "runs": sorted(round(r, 6) for r in runs)}
+
+
+def summary(pairs: list, bounds: dict) -> dict:
+    """The entry of one seed, or of several pooled, from its (parent, change) results."""
+    tallies = {side: sorted({"correct=%s attempted=%d failed=%d"
+                             % (r["correct"], r["attempted"], r["failed"]) for r in results})
+               for side, results in zip(("parent", "change"), zip(*pairs))}
+    metrics = {}
+    for name, first in pairs[0][0]["metrics"].items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        entry = {"unit": first["unit"], "bound": bounds.get(name),
+                 "parent": spread(parent), "change": spread(change)}
+        entry["change_vs_parent"] = round(entry["change"]["median"] / entry["parent"]["median"]
+                                          - 1, 4) if entry["parent"]["median"] else None
+        entry["pairs_change_lower"] = "%d/%d" % (sum(c < p for p, c in zip(parent, change)),
+                                                 len(pairs))
+        metrics[name] = entry
+    return {"pairs": len(pairs), "tallies": tallies, "metrics": metrics}
+
+
+def git_head(root: str):
+    proc = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    args = parser.parse_args()
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    per_seed, pooled = {}, []
+    for seed in args.seeds:
+        pairs = []
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            out = {side: run_bench(sides[side], args.workload, seed, args.seconds, args.size)
+                   for side in order}
+            print("%s seed %d pair %d: wall_s parent %.3f change %.3f" % (
+                args.workload, seed, i, out["parent"]["metrics"]["wall_s"]["value"],
+                out["change"]["metrics"]["wall_s"]["value"]), file=sys.stderr)
+            pairs.append((out["parent"], out["change"]))
+        per_seed["seed %d" % seed] = summary(pairs, bounds)
+        pooled += pairs
+    if len(args.seeds) > 1:
+        per_seed["both seeds" if len(args.seeds) == 2 else "all seeds"] = summary(pooled, bounds)
+
+    path = "BENCH_%s.json" % args.label
+    record = {"label": args.label, "change": "", "parent_commit": None, "command": "",
+              "protocol": "", "host": "", "claim": {}, "notes": [], "workloads": {}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            record.update(json.load(fh))
+    record.update({
+        "parent_commit": git_head(args.parent),
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> --seconds %g "
+                   "--trace 0%s" % (args.seconds, "" if args.size == "full"
+                                    else " --size " + args.size),
+        "protocol": "alternating pairs, each side run from its own checkout of the same bench/ "
+                    "code: the parent first in odd pairs, the change first in even pairs; one "
+                    "process at a time; PYTHONDONTWRITEBYTECODE=1, so every run compiles the "
+                    "source",
+        "host": "%d-core %s %s, %s %s" % (len(os.sched_getaffinity(0)), platform.machine(),
+                                          platform.system(), platform.python_implementation(),
+                                          platform.python_version()),
+    })
+    record["workloads"][args.workload] = per_seed
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print("wrote %s" % path, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

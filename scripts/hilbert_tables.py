@@ -12,8 +12,7 @@ import argparse
 import json
 import math
 
-from smirnov.cli import _trivariate
-from smirnov.qengine import hilbert_table
+from smirnov.qengine import hilbert_table, trivariate
 
 
 def cardinality(n: int) -> int:
@@ -43,7 +42,7 @@ def main() -> None:
         print("n = %d" % n)
         for (k, l), poly in sorted(table.items()):
             print("  k=%d l=%d  %s" % (k, l, poly))
-        print("  trivariate: %s" % _trivariate(table))
+        print("  trivariate: %s" % trivariate(table))
         status = "ok" if total == expected else "MISMATCH"
         print("  total at q=1: %d (cardinality %d, %s)" % (total, expected, status))
         print()

@@ -108,24 +108,6 @@ def cmd_verify(suite, n_max, instances, seed, as_json):
         sys.exit(1)
 
 
-def _trivariate(table: dict) -> str:
-    """Render {(k, l): QPolynomial} as a polynomial in q, u, v."""
-    terms = []
-    for (k, l), poly in sorted(table.items()):
-        if not poly:
-            continue
-        coeff = str(poly)
-        if "+" in coeff:
-            coeff = "(%s)" % coeff
-        factors = [] if coeff == "1" and (k or l) else [coeff]
-        if k:
-            factors.append("u" if k == 1 else "u^%d" % k)
-        if l:
-            factors.append("v" if l == 1 else "v^%d" % l)
-        terms.append("".join(factors))
-    return " + ".join(terms) or "0"
-
-
 @main.command("table")
 @click.option("--kind", type=click.Choice(["h-coeff", "hilbert"]), required=True)
 @click.option("--n", type=int, required=True)
@@ -161,7 +143,7 @@ def cmd_table(kind, n, fmt, memo_file):
         for row in rows:
             click.echo("%3d %3d %3d %-10s %s" % row)
         if hilbert is not None:
-            click.echo("trivariate: %s" % _trivariate(hilbert))
+            click.echo("trivariate: %s" % qengine.trivariate(hilbert))
 
 
 if __name__ == "__main__":

@@ -182,9 +182,9 @@ def _unpack(x: int, w: int) -> QPolynomial:
     return _poly(tuple(slots))
 
 
-def _fill(packed: dict, top, children, value) -> list:
+def _fill(packed: dict, top, children, value) -> None:
     """Put `top` and every key below it that `packed` lacks into `packed`,
-    lowest level first; return the keys added.
+    lowest level first.
 
     `children(key)` names the keys one level down that `value(key)` reads
     and that must be computed first; `value` knows every other key it reads
@@ -195,12 +195,9 @@ def _fill(packed: dict, top, children, value) -> list:
     while todo:
         levels.append(todo)
         todo = list({c for key in todo for c in children(key) if c not in packed})
-    added = []
     for keys in reversed(levels):
         for key in keys:
             packed[key] = value(key)
-        added += keys
-    return added
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -330,8 +327,8 @@ class SfCoefficientTable:
     The recursion runs on packed ints (see `_pack`) at slots of `w` bytes,
     set by the largest n the table has served: `packed` holds every key
     computed at that width, `factors` the packed F and `binomials` the packed
-    q-binomials.  `memo` holds every computed key, unpacked once, and what
-    `load` merged.
+    q-binomials.  `memo` holds what callers were handed, each unpacked once,
+    and what `load` merged; a sub-key is unpacked only when it is asked for.
     """
 
     def __init__(self):
@@ -355,9 +352,10 @@ class SfCoefficientTable:
         w = _count_slot(n)
         if w > self.w:
             self._widen(w)
-        for new in _fill(self.packed, key, self._children, self._value):
-            self.memo[new] = _unpack(self.packed[new], self.w)
-        return self.memo[key]
+        if key not in self.packed:
+            _fill(self.packed, key, self._children, self._value)
+        hit = self.memo[key] = _unpack(self.packed[key], self.w)
+        return hit
 
     @staticmethod
     def _children(key: tuple) -> list:
@@ -583,3 +581,21 @@ def cells(n: int) -> list:
 def hilbert_table(n: int) -> dict:
     """Table (k, l) -> standard_q_count(n, k, l) over the cells of size n."""
     return {(k, l): standard_q_count(n, k, l) for k, l in cells(n)}
+
+
+def trivariate(table: dict) -> str:
+    """Render {(k, l): QPolynomial} as a polynomial in q, u, v."""
+    terms = []
+    for (k, l), poly in sorted(table.items()):
+        if not poly:
+            continue
+        coeff = str(poly)
+        if "+" in coeff:
+            coeff = "(%s)" % coeff
+        factors = [] if coeff == "1" and (k or l) else [coeff]
+        if k:
+            factors.append("u" if k == 1 else "u^%d" % k)
+        if l:
+            factors.append("v" if l == 1 else "v^%d" % l)
+        terms.append("".join(factors))
+    return " + ".join(terms) or "0"

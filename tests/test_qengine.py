@@ -310,6 +310,28 @@ class TestRecursion:
         assert widths[0] < widths[1] == widths[2]
         assert all(poly.coeffs == _old_coefficient(*key, memo) for key, poly in table.memo.items())
 
+    def test_memo_holds_only_the_queried_cells(self):
+        table = SfCoefficientTable()
+        for mu in partitions_of(8):
+            for k, l in qengine.cells(8):
+                sf_h_coefficient(8, k, l, mu, table)
+        assert set(table.memo) == {(8, k, l, mu) for mu in partitions_of(8)
+                                   for k, l in qengine.cells(8)}
+        assert len(table.packed) > len(table.memo)  # the sub-keys stay packed
+
+    def test_sub_key_is_served_from_packed_without_a_fill(self, monkeypatch):
+        table = SfCoefficientTable()
+        sf_h_coefficient(7, 2, 1, (3, 2, 1, 1), table)
+        sub = (6, 2, 1, (3, 2, 1))
+        assert sub in table.packed and sub not in table.memo
+
+        def fail(*args):
+            raise AssertionError("a packed key was filled again")
+        monkeypatch.setattr(qengine, "_fill", fail)
+        poly = sf_h_coefficient(*sub, table)
+        assert poly and poly.coeffs == _old_coefficient(*sub, {})
+        assert table.memo[sub] is poly
+
     def test_factors_live_on_the_table(self):
         table = SfCoefficientTable()
         sf_h_coefficient(5, 1, 1, (2, 2, 1), table)
@@ -421,6 +443,27 @@ class TestMemoFile:
         with open(path) as fh:
             assert fh.read() == before
         assert os.listdir(tmp_path) == ["memo.json"]
+
+    def test_file_with_sub_keys_loads_and_serves_them(self, tmp_path, monkeypatch):
+        # a version-2 file may hold the sub-keys of a query, zero values
+        # included: here those of (4, 1, 1, (2, 1, 1))
+        entries = [[2, 0, 1, [2], []], [2, 1, 0, [2], []], [2, 0, 0, [2], ["1"]],
+                   [3, 1, 1, [2, 1], ["1"]], [3, 0, 0, [2, 1], ["1", "1", "1"]],
+                   [3, 1, 0, [2, 1], ["1", "1"]], [3, 0, 1, [2, 1], ["1", "1"]],
+                   [4, 1, 1, [2, 1, 1], ["4", "7", "4", "1"]]]
+        path = str(tmp_path / "memo.json")
+        _write_memo(path, entries)
+        table = SfCoefficientTable()
+        table.load(path)
+
+        def fail(*args):
+            raise AssertionError("a loaded key was computed")
+        monkeypatch.setattr(qengine, "_fill", fail)
+        for n, k, l, mu, coeffs in entries:
+            poly = sf_h_coefficient(n, k, l, mu, table)
+            assert poly.coeffs == tuple(map(int, coeffs))
+            assert poly.coeffs == _old_coefficient(n, k, l, tuple(mu), {})
+        assert table.packed == {(0, 0, 0, ()): 1}
 
     def test_edited_value_fails_checksum(self, tmp_path):
         # the hand edit that used to be printed as the answer
