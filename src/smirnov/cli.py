@@ -108,6 +108,17 @@ def cmd_verify(suite, n_max, instances, seed, as_json):
         sys.exit(1)
 
 
+def _memo_file(action, path: str) -> None:
+    """Load or dump the memo at `path`; a bad file or an unusable path is a
+    usage error that names `path`."""
+    try:
+        action(path)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    except OSError as exc:
+        raise click.UsageError("memo file %s: %s" % (path, exc.strerror or exc))
+
+
 @main.command("table")
 @click.option("--kind", type=click.Choice(["h-coeff", "hilbert"]), required=True)
 @click.option("--n", type=int, required=True)
@@ -120,10 +131,7 @@ def cmd_table(kind, n, fmt, memo_file):
     if n < 0:
         raise click.UsageError("n must be nonnegative")
     if memo_file and os.path.exists(memo_file):
-        try:
-            qengine._DEFAULT_TABLE.load(memo_file)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        _memo_file(qengine._DEFAULT_TABLE.load, memo_file)
     hilbert = None
     if kind == "hilbert":
         hilbert = qengine.hilbert_table(n)
@@ -133,7 +141,7 @@ def cmd_table(kind, n, fmt, memo_file):
                  str(qengine.sf_h_coefficient(n, k, l, mu)))
                 for mu in words.partitions_of(n) for k, l in qengine.cells(n)]
     if memo_file:
-        qengine._DEFAULT_TABLE.dump(memo_file)
+        _memo_file(qengine._DEFAULT_TABLE.dump, memo_file)
     if fmt == "csv":
         click.echo("n,k,l,mu,poly")
         for row in rows:

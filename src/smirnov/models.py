@@ -59,7 +59,7 @@ class LabelledPolyomino:
             raise ValueError("paths must be over {N, E}")
         if up.count("N") != lo.count("N") or up.count("E") != lo.count("E"):
             raise ValueError("paths must share their endpoints")
-        if sorted(self.labelled_cells()) != [cell[:2] for cell in labels]:
+        if labelled_cells(up, lo) != [cell[:2] for cell in labels]:
             raise ValueError("labels must cover exactly the labelled cells")
         width, height = self.width, self.height
         uy = _strip_heights(up, width)
@@ -88,39 +88,41 @@ class LabelledPolyomino:
     def height(self) -> int:
         return self.upper.count("N")
 
-    def labelled_cells(self) -> List[tuple]:
-        """Cells with an upper north step on the left or a lower east step below."""
-        cells = set()
-        x = y = 0
-        for s in self.upper:
-            if s == "N":
-                cells.add((x, y))
-                y += 1
-            else:
-                x += 1
-        x = y = 0
-        for s in self.lower:
-            if s == "N":
-                y += 1
-            else:
-                cells.add((x, y))
-                x += 1
-        return sorted(cells)
-
-    def region_cells(self) -> List[tuple]:
-        """All cells weakly between the two paths."""
-        width = self.width
-        uy = _strip_heights(self.upper, width)
-        ly = _strip_heights(self.lower, width)
-        return [(x, y) for x in range(width) for y in range(ly[x], uy[x])]
-
     def is_area_zero(self) -> bool:
         """No cell strictly inside beyond the labelled boundary cells."""
-        return set(self.region_cells()) == {cell[:2] for cell in self.labels}
+        return set(region_cells(self.upper, self.lower)) == {cell[:2] for cell in self.labels}
 
     def to_json(self) -> dict:
         return {"upper": self.upper, "lower": self.lower,
                 "labels": [[col + 1, row + 1, value] for col, row, value in self.labels]}
+
+
+def labelled_cells(upper: str, lower: str) -> List[tuple]:
+    """Sorted cells with an upper north step on the left or a lower east step below."""
+    cells = set()
+    x = y = 0
+    for s in upper:
+        if s == "N":
+            cells.add((x, y))
+            y += 1
+        else:
+            x += 1
+    x = y = 0
+    for s in lower:
+        if s == "N":
+            y += 1
+        else:
+            cells.add((x, y))
+            x += 1
+    return sorted(cells)
+
+
+def region_cells(upper: str, lower: str) -> List[tuple]:
+    """All cells weakly between the two paths."""
+    width = upper.count("E")
+    uy = _strip_heights(upper, width)
+    ly = _strip_heights(lower, width)
+    return [(x, y) for x in range(width) for y in range(ly[x], uy[x])]
 
 
 def _strip_heights(path: str, width: int) -> list:
@@ -200,8 +202,9 @@ def polyomino_to_word(p: LabelledPolyomino) -> SegmentedSmirnovWord:
 def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator[LabelledPolyomino]:
     """Brute-force enumeration, independent of the word bijection: all path
     pairs, filtered to area 0, with all valid labelings over 1..bound."""
-    steps = ["N"] * height + ["E"] * width
-    paths = sorted({"".join(p) for p in itertools.permutations(steps)})
+    size = width + height
+    paths = ["".join("N" if i in north else "E" for i in range(size))
+             for north in map(set, itertools.combinations(range(size), height))]
     for upper in paths:
         uv = set(_vertices(upper))
         uy = _strip_heights(upper, width)
@@ -214,12 +217,8 @@ def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator
             ly = _strip_heights(lower, width)
             if any(uy[x] < ly[x] for x in range(width)):
                 continue
-            probe = LabelledPolyomino.__new__(LabelledPolyomino)
-            object.__setattr__(probe, "upper", upper)
-            object.__setattr__(probe, "lower", lower)
-            object.__setattr__(probe, "labels", ())
-            cells = probe.labelled_cells()
-            if set(probe.region_cells()) != set(cells):
+            cells = labelled_cells(upper, lower)
+            if set(region_cells(upper, lower)) != set(cells):
                 continue
             for values in _labelings(cells, bound):
                 yield LabelledPolyomino(

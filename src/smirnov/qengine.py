@@ -207,12 +207,12 @@ class _PackedRecursion:
     """A recursion on packed ints, called like the `functools.lru_cache`
     function it stands for, with the same `cache_clear()` and `cache_info()`.
 
-    `values` holds what callers were handed, each unpacked once.  `packed`
+    `memo` holds what callers were handed, each unpacked once.  `packed`
     holds every key computed at the current slot width `w` (bytes), filled
     by `_fill` from the subclass's `_children` and `_value`.  A query that
     needs wider slots starts `packed` again from `SEED`: narrower slots are
-    never reused.  Like `SfCoefficientTable`, it serves one thread; the
-    verification pool's workers are processes, each with its own.
+    never reused.  It serves one thread; the verification pool's workers are
+    processes, each with its own.
     """
 
     SEED: dict = {}
@@ -222,26 +222,30 @@ class _PackedRecursion:
 
     def cache_clear(self) -> None:
         """Drop every value, packed or not, and the hit and miss counts."""
-        self.values, self.packed, self.w, self.shift = {}, dict(self.SEED), 0, 0
-        self.hits = self.misses = 0
+        self.memo, self.hits, self.misses = {}, 0, 0
+        self._restart(0)
+
+    def _restart(self, w: int) -> None:
+        """Start the packed state again, at slots of w bytes."""
+        self.w, self.shift, self.packed = w, 8 * w, dict(self.SEED)
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, None, len(self.values))
+        return _CacheInfo(self.hits, self.misses, None, len(self.memo))
 
     def _get(self, key: tuple, size: int) -> QPolynomial:
-        hit = self.values.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             self.hits += 1
             return hit
         x = self._packed(key, self._width(size))
-        hit = self.values[key] = _unpack(x, self.w)
+        hit = self.memo[key] = _unpack(x, self.w)
         return hit
 
     def _packed(self, key: tuple, w: int) -> int:
         """The packed value of `key` at slots of self.w >= w bytes; a miss
         is a call that has to compute it."""
         if w > self.w:
-            self.w, self.shift, self.packed = w, 8 * w, dict(self.SEED)
+            self._restart(w)
         x = self.packed.get(key)
         if x is not None:
             self.hits += 1
@@ -315,7 +319,7 @@ def _canonical_mu(mu: Sequence[int]) -> tuple:
 MEMO_VERSION = 2
 
 
-class SfCoefficientTable:
+class SfCoefficientTable(_PackedRecursion):
     """Memoized map (n, k, l, sorted mu) -> QPolynomial via the coefficient recursion.
 
     The recursion strips the j occurrences of the largest letter (j = last
@@ -324,38 +328,27 @@ class SfCoefficientTable:
     q-binomials (`_factor`).  F does not depend on mu or on the sub-problem,
     so each table caches it in `factors`.
 
-    The recursion runs on packed ints (see `_pack`) at slots of `w` bytes,
-    set by the largest n the table has served: `packed` holds every key
-    computed at that width, `factors` the packed F and `binomials` the packed
-    q-binomials.  `memo` holds what callers were handed, each unpacked once,
-    and what `load` merged; a sub-key is unpacked only when it is asked for.
+    The width `w` is set by the largest n the table has served.  Beside
+    `packed`, a restart drops `factors`, the packed F, and `binomials`, the
+    packed q-binomials, which must be packed at the table's width.  `memo`
+    also holds what `load` merged; a sub-key is unpacked only when it is
+    asked for.
     """
 
-    def __init__(self):
-        self.memo: dict = {}
-        self._widen(0)
+    SEED = {(0, 0, 0, ()): 1}
 
-    def _widen(self, w: int) -> None:
-        """Start the packed state again, at slots of w bytes."""
-        self.w, self.shift = w, 8 * w
-        self.packed, self.factors, self.binomials = {(0, 0, 0, ()): 1}, {}, _QBinomial()
+    _width = staticmethod(_count_slot)
+
+    def _restart(self, w: int) -> None:
+        super()._restart(w)
+        self.factors, self.binomials = {}, _QBinomial()
 
     def coefficient(self, n: int, k: int, l: int, mu: tuple) -> QPolynomial:
         if n == 0:
             return _ONE if (k, l) == (0, 0) else _ZERO
         if n < 0 or k < 0 or l < 0 or k + l >= n:
             return _ZERO
-        key = (n, k, l, mu)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        w = _count_slot(n)
-        if w > self.w:
-            self._widen(w)
-        if key not in self.packed:
-            _fill(self.packed, key, self._children, self._value)
-        hit = self.memo[key] = _unpack(self.packed[key], self.w)
-        return hit
+        return self._get((n, k, l, mu), n)
 
     @staticmethod
     def _children(key: tuple) -> list:

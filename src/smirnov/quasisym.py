@@ -43,16 +43,13 @@ def split_set(sigma: SegmentedSmirnovWord) -> frozenset:
     if sorted(letters) != list(range(1, n + 1)):
         raise ValueError("split_set requires a segmented permutation")
     thick = thick_positions(sigma)
+    final = sigma.final_positions
     pos = {v: i for i, v in enumerate(letters, start=1)}
-    block_of = {}
-    for b, (lo, hi) in enumerate(_block_spans(sigma)):
-        for i in range(lo, hi + 1):
-            block_of[i] = b
     out = set()
     for v in range(1, n):
         i, j = pos[v], pos[v + 1]
         i_thick, j_thick = i in thick, j in thick
-        if block_of[i] == block_of[j] and abs(i - j) == 1:
+        if abs(i - j) == 1 and min(i, j) not in final:  # adjacent in one block
             out.add(v)
         elif i_thick and not j_thick:
             out.add(v)
@@ -61,13 +58,6 @@ def split_set(sigma: SegmentedSmirnovWord) -> frozenset:
         elif i_thick and j_thick and j < i:
             out.add(v)
     return frozenset(out)
-
-
-def _block_spans(w: SegmentedSmirnovWord):
-    pos = 1
-    for part in w.shape:
-        yield (pos, pos + part - 1)
-        pos += part
 
 
 def fiber_condition(sigma: SegmentedSmirnovWord, w: SegmentedSmirnovWord) -> bool:

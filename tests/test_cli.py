@@ -216,6 +216,16 @@ class TestTable:
         assert "checksum" in result.output and memo in result.output
         assert "99" not in result.output
 
+    @pytest.mark.parametrize("where", ["", "missing/memo.json"])
+    def test_unusable_memo_path_is_usage_error(self, tmp_path, where):
+        # a directory failed in load, a missing directory in dump after the whole
+        # table was computed; both ended in a traceback
+        memo = str(tmp_path / where)
+        result = run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "memo file %s: " % memo in result.output
+
     @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"]])
     def test_malformed_memo_is_usage_error(self, tmp_path, command):
         # this file used to end in a raw KeyError traceback

@@ -282,6 +282,8 @@ class TestRecursion:
         fresh = SfCoefficientTable()
         fresh.load(path)
         assert fresh.memo == table.memo
+        sf_h_coefficient(4, 1, 1, (2, 1, 1), fresh)
+        assert fresh.cache_info() == (1, 0, None, 1)  # a loaded entry is a hit
 
     def test_regrouped_recursion_matches_first_formula(self):
         n = 8
@@ -318,6 +320,7 @@ class TestRecursion:
         assert set(table.memo) == {(8, k, l, mu) for mu in partitions_of(8)
                                    for k, l in qengine.cells(8)}
         assert len(table.packed) > len(table.memo)  # the sub-keys stay packed
+        assert table.cache_info() == (0, len(table.memo), None, len(table.memo))
 
     def test_sub_key_is_served_from_packed_without_a_fill(self, monkeypatch):
         table = SfCoefficientTable()
@@ -331,6 +334,7 @@ class TestRecursion:
         poly = sf_h_coefficient(*sub, table)
         assert poly and poly.coeffs == _old_coefficient(*sub, {})
         assert table.memo[sub] is poly
+        assert table.cache_info() == (1, 1, None, 2)
 
     def test_factors_live_on_the_table(self):
         table = SfCoefficientTable()
@@ -386,14 +390,34 @@ class TestRecursion:
         assert total == math.factorial(30) * 2 ** 29
 
     def test_cache_clear_leaves_nothing(self):
-        for fn, args in ((standard_q_count, (6, 1, 2)), (q_binomial, (7, 3))):
-            fn(*args)
+        table = SfCoefficientTable()
+        for fn, query, args in ((standard_q_count, standard_q_count, (6, 1, 2)),
+                                (q_binomial, q_binomial, (7, 3)),
+                                (table, table.coefficient, (5, 1, 1, (2, 2, 1)))):
+            query(*args)
             assert fn.cache_info().currsize and len(fn.packed) > len(type(fn).SEED)
             fn.cache_clear()
             assert fn.cache_info() == (0, 0, None, 0)
+            assert fn.memo == {} and getattr(fn, "factors", {}) == {}
             assert fn.packed == type(fn).SEED
-            fn(*args)
+            query(*args)
             assert (fn.cache_info().hits, fn.cache_info().misses) == (0, 1)
+            query(*args)
+            assert (fn.cache_info().hits, fn.cache_info().misses) == (1, 1)
+
+    def test_cleared_table_serves_narrower_slots(self):
+        # the q-binomials of the n = 8 table are packed at its wider slots, so a
+        # clear must drop them with the rest of the packed state
+        table, memo = SfCoefficientTable(), {}
+        for mu in partitions_of(8):
+            for k, l in qengine.cells(8):
+                table.coefficient(8, k, l, mu)
+        table.cache_clear()
+        for mu in partitions_of(4):
+            for k, l in qengine.cells(4):
+                assert table.coefficient(4, k, l, mu).coeffs == \
+                    _old_coefficient(4, k, l, mu, memo), (mu, k, l)
+        assert table.w == qengine._count_slot(4)
 
     def test_cells(self):
         assert qengine.cells(0) == [(0, 0)]

@@ -41,6 +41,25 @@ class TestStandardize:
         assert fiber_condition(standardize(w), w)
 
 
+def _split_by_definition(sigma):
+    """The four cases of the split_set docstring read literally, with each
+    position's block read off the shape."""
+    block = [b for b, part in enumerate(sigma.shape) for _ in range(part)]
+    letters = sigma.letters
+    thick = {i for i in range(1, sigma.n + 1)
+             if i == 1 or block[i - 1] != block[i - 2] or letters[i - 2] > letters[i - 1]}
+    pos = {v: i for i, v in enumerate(letters, start=1)}
+    out = set()
+    for v in range(1, sigma.n):
+        i, j = pos[v], pos[v + 1]
+        if (block[i - 1] == block[j - 1] and abs(i - j) == 1
+                or i in thick and j not in thick
+                or i not in thick and j not in thick and i < j
+                or i in thick and j in thick and j < i):
+            out.add(v)
+    return frozenset(out)
+
+
 class TestSplit:
     def test_worked_example(self):
         sigma = parse_word("152|93|6487")
@@ -49,6 +68,11 @@ class TestSplit:
     def test_requires_permutation(self):
         with pytest.raises(ValueError):
             split_set(parse_word("121"))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_its_definition(self, n):
+        for sigma in enumerate_words((1,) * n):
+            assert split_set(sigma) == _split_by_definition(sigma), sigma
 
     def test_composition_from_split(self):
         assert composition_from_split({4, 7}, 9) == (4, 3, 2)
