@@ -125,13 +125,21 @@ def _memo_file(action, path: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text",
               show_default=True)
 @click.option("--memo-file", type=click.Path(), default=None,
-              help="Load/store the coefficient memo table as JSON.")
+              help="Load/store the coefficient memo table as JSON (h-coeff only).")
 def cmd_table(kind, n, fmt, memo_file):
     """Print the coefficient table (h-coeff) or the Hilbert-series table."""
     if n < 0:
         raise click.UsageError("n must be nonnegative")
-    if memo_file and os.path.exists(memo_file):
-        _memo_file(qengine._DEFAULT_TABLE.load, memo_file)
+    if memo_file:
+        # checked before any cell is computed, so that no work is thrown away
+        if kind == "hilbert":
+            raise click.UsageError("--memo-file holds the h-coeff memo; --kind hilbert "
+                                   "neither reads nor fills it")
+        folder = os.path.dirname(memo_file) or "."
+        if not os.path.isdir(folder):
+            raise click.UsageError("memo file %s: no directory %s" % (memo_file, folder))
+        if os.path.exists(memo_file):
+            _memo_file(qengine._DEFAULT_TABLE.load, memo_file)
     hilbert = None
     if kind == "hilbert":
         hilbert = qengine.hilbert_table(n)

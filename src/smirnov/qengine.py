@@ -539,7 +539,7 @@ standard_q_count = _StandardCount()
 def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") -> QPolynomial:
     """Exact sum of q^stat(w) over all words of content mu with k ascents, l descents."""
     from .stats import sdinv_count, sminv_count
-    from .words import enumerate_words_by_stat
+    from .words import enumerate_words
 
     if stat == "sminv":
         fn = sminv_count
@@ -547,11 +547,20 @@ def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") ->
         fn = sdinv_count
     else:
         raise ValueError("unknown statistic %r" % (stat,))
-    counts: dict = {}
-    for w in enumerate_words_by_stat(mu, k, l):
-        v = fn(w)
-        counts[v] = counts.get(v, 0) + 1
-    return histogram_poly(counts)
+    [dist] = stat_distributions(enumerate_words(mu), fn)
+    return dist.get((k, l), _ZERO)
+
+
+def stat_distributions(words: Iterable, *stat_fns) -> list:
+    """For each statistic, the map (k, l) -> QPolynomial of q^stat over the
+    words with k ascents and l descents; one pass over the words serves them all."""
+    buckets = [{} for _ in stat_fns]
+    for w in words:
+        key = (len(w.ascent_positions()), len(w.descent_positions()))
+        for bucket, stat_fn in zip(buckets, stat_fns):
+            bucket.setdefault(key, collections.Counter())[stat_fn(w)] += 1
+    return [{key: histogram_poly(counts) for key, counts in bucket.items()}
+            for bucket in buckets]
 
 
 def histogram_poly(counts: dict) -> QPolynomial:

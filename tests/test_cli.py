@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
 import os
 
@@ -151,6 +152,29 @@ class TestVerify:
         del dist[1, 1]
         assert verify._mismatch(2, dist, agree) == ""
 
+    def test_symmetry_compares_each_rearrangement_with_the_recursion(self, monkeypatch):
+        # SW((1, 2)) enumerated without one word; the sorted content stays right
+        monkeypatch.setenv("SMIRNOV_THREADS", "1")
+        real = verify.enumerate_words
+        monkeypatch.setattr(verify, "enumerate_words", lambda mu: (
+            itertools.islice(real(mu), 1, None) if tuple(mu) == (1, 2) else real(mu)))
+        report = verify.run_suite("main-theorem", 3)
+        failed = {c.key: c.witness for c in report.cases if not c.ok}
+        assert list(failed) == ["symmetry mu=(2, 1)"]
+        assert failed["symmetry mu=(2, 1)"].startswith("rearrangement (1, 2): k=")
+
+    def test_chromatic_compares_with_the_recursion(self, monkeypatch):
+        # the colouring tallies are right; the recursion is wrong at mu = (2, 1) alone
+        monkeypatch.setenv("SMIRNOV_THREADS", "1")
+        real = verify.sf_h_coefficient
+        monkeypatch.setattr(verify, "sf_h_coefficient", lambda n, k, l, mu: (
+            real(n, k, l, mu) + QPolynomial.one() if tuple(mu) == (2, 1)
+            else real(n, k, l, mu)))
+        report = verify.run_suite("models", 3)
+        failed = {c.key: c.witness for c in report.cases if not c.ok}
+        assert list(failed) == ["chromatic n=3"]
+        assert failed["chromatic n=3"] == "mu=(2, 1) l=0 tally=0 recursion=1"
+
     def test_memo_file_is_not_an_option(self, tmp_path):
         # pool workers never handed their values back, so the file lost them
         result = run("verify", "--suite", "main-theorem", "--n-max", "2",
@@ -217,14 +241,26 @@ class TestTable:
         assert "99" not in result.output
 
     @pytest.mark.parametrize("where", ["", "missing/memo.json"])
-    def test_unusable_memo_path_is_usage_error(self, tmp_path, where):
+    def test_unusable_memo_path_is_usage_error(self, tmp_path, where, monkeypatch):
         # a directory failed in load, a missing directory in dump after the whole
-        # table was computed; both ended in a traceback
+        # table was computed; both ended in a traceback, and now fail before any cell
+        monkeypatch.setattr(qengine, "_DEFAULT_TABLE", qengine.SfCoefficientTable())
         memo = str(tmp_path / where)
         result = run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "memo file %s: " % memo in result.output
+        assert qengine._DEFAULT_TABLE.cache_info().misses == 0
+        assert not qengine._DEFAULT_TABLE.memo
+
+    def test_hilbert_memo_file_is_usage_error(self, tmp_path):
+        # the Hilbert table never reads the memo: this wrote "entries":[] with exit 0
+        memo = tmp_path / "memo.json"
+        result = run("table", "--kind", "hilbert", "--n", "3", "--memo-file", str(memo))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--kind hilbert" in result.output
+        assert not memo.exists()
 
     @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"]])
     def test_malformed_memo_is_usage_error(self, tmp_path, command):

@@ -12,7 +12,7 @@ from smirnov.models import (NoncrossingPartition, catalan,
                             noncrossing_to_permutation, permutation_to_noncrossing,
                             polyomino_to_word, single_block_words,
                             smirnov_to_polyomino)
-from smirnov.qengine import enumerative_q_sum
+from smirnov.qengine import enumerative_q_sum, sf_h_coefficient
 from smirnov.stats import sminv_count
 from smirnov.words import SegmentedSmirnovWord, parse_word, partitions_of
 
@@ -101,6 +101,7 @@ class TestChromatic:
                 k = n - 1 - l
                 got = tallies.get(l, {}).get(exps, 0)
                 assert got == enumerative_q_sum(mu, k, l, "sminv")(1)
+                assert got == sf_h_coefficient(n, k, l, mu)(1)
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,9 @@ import smirnov
 from smirnov import qengine
 from smirnov.qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum,
                              hilbert_table, q_binomial, q_int, sf_h_coefficient,
-                             standard_q_count)
-from smirnov.words import partitions_of
+                             standard_q_count, stat_distributions)
+from smirnov.stats import sdinv_count, sminv_count
+from smirnov.words import enumerate_words, partitions_of
 
 polys = st.lists(st.integers(min_value=0, max_value=50), max_size=6).map(QPolynomial)
 # long, wide coefficient lists with many zeros, including interior ones
@@ -361,6 +362,13 @@ class TestRecursion:
         assert enumerative_q_sum((2, 1), 2, 0) == 0
         for stat in ("sminv", "sdinv"):
             assert enumerative_q_sum((2, 1), 0, 0, stat) == QPolynomial((1, 1, 1))
+
+    def test_stat_distributions_read_the_words_once(self):
+        # every statistic's (k, l) map from one pass over a single-use iterator
+        expected = {(0, 0): QPolynomial((1, 1, 1)), (1, 0): QPolynomial((1, 1)),
+                    (0, 1): QPolynomial((1, 1)), (1, 1): QPolynomial((1,))}
+        words = iter(list(enumerate_words((2, 1))))
+        assert stat_distributions(words, sminv_count, sdinv_count) == [expected, expected]
 
     def test_enumerative_sum_rejects_unknown_stat(self):
         with pytest.raises(ValueError):
