@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -30,8 +29,10 @@ def main():
 
 @main.command("enumerate")
 @click.option("--mu", required=True, help="Content as comma-separated multiplicities, e.g. 2,1.")
-@click.option("--k", type=int, default=None, help="Exact ascent count filter.")
-@click.option("--l", type=int, default=None, help="Exact descent count filter.")
+@click.option("--k", type=click.IntRange(min=0), default=None,
+              help="Exact ascent count filter.")
+@click.option("--l", type=click.IntRange(min=0), default=None,
+              help="Exact descent count filter.")
 @click.option("--kind", type=click.Choice(["words", "paths"]), default="words",
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -108,38 +109,13 @@ def cmd_verify(suite, n_max, instances, seed, as_json):
         sys.exit(1)
 
 
-def _memo_file(action, path: str) -> None:
-    """Load or dump the memo at `path`; a bad file or an unusable path is a
-    usage error that names `path`."""
-    try:
-        action(path)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except OSError as exc:
-        raise click.UsageError("memo file %s: %s" % (path, exc.strerror or exc))
-
-
 @main.command("table")
 @click.option("--kind", type=click.Choice(["h-coeff", "hilbert"]), required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text",
               show_default=True)
-@click.option("--memo-file", type=click.Path(), default=None,
-              help="Load/store the coefficient memo table as JSON (h-coeff only).")
-def cmd_table(kind, n, fmt, memo_file):
+def cmd_table(kind, n, fmt):
     """Print the coefficient table (h-coeff) or the Hilbert-series table."""
-    if n < 0:
-        raise click.UsageError("n must be nonnegative")
-    if memo_file:
-        # checked before any cell is computed, so that no work is thrown away
-        if kind == "hilbert":
-            raise click.UsageError("--memo-file holds the h-coeff memo; --kind hilbert "
-                                   "neither reads nor fills it")
-        folder = os.path.dirname(memo_file) or "."
-        if not os.path.isdir(folder):
-            raise click.UsageError("memo file %s: no directory %s" % (memo_file, folder))
-        if os.path.exists(memo_file):
-            _memo_file(qengine._DEFAULT_TABLE.load, memo_file)
     hilbert = None
     if kind == "hilbert":
         hilbert = qengine.hilbert_table(n)
@@ -148,8 +124,6 @@ def cmd_table(kind, n, fmt, memo_file):
         rows = [(n, k, l, ",".join(map(str, mu)) or "-",
                  str(qengine.sf_h_coefficient(n, k, l, mu)))
                 for mu in words.partitions_of(n) for k, l in qengine.cells(n)]
-    if memo_file:
-        _memo_file(qengine._DEFAULT_TABLE.dump, memo_file)
     if fmt == "csv":
         click.echo("n,k,l,mu,poly")
         for row in rows:

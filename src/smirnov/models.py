@@ -283,11 +283,9 @@ class NoncrossingPartition:
         flat = sorted(x for blk in blocks for x in blk)
         if flat != list(range(1, len(flat) + 1)):
             raise ValueError("blocks must partition {1..n}")
-        block_of = {x: i for i, blk in enumerate(blocks) for x in blk}
-        n = len(flat)
-        for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
-            if block_of[a] == block_of[c] != block_of[b] == block_of[d]:
-                raise ValueError("crossing pair %r" % ((a, b, c, d),))
+        quadruple = crossing(blocks)
+        if quadruple:
+            raise ValueError("crossing pair %r" % (quadruple,))
 
     @property
     def n(self) -> int:
@@ -327,9 +325,16 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple]:
             yield rest[:i] + (rest[i] + (n,),) + rest[i + 1:]
 
 
+def crossing(blocks: Sequence[Sequence[int]]) -> tuple:
+    """The first a < b < c < d with a, c in one block and b, d in another, or ()."""
+    block_of = {x: i for i, blk in enumerate(blocks) for x in blk}
+    for a, b, c, d in itertools.combinations(sorted(block_of), 4):
+        if block_of[a] == block_of[c] != block_of[b] == block_of[d]:
+            return (a, b, c, d)
+    return ()
+
+
 def enumerate_noncrossing(n: int) -> Iterator[NoncrossingPartition]:
     for blocks in enumerate_set_partitions(n):
-        try:
+        if not crossing(blocks):
             yield NoncrossingPartition(blocks)
-        except ValueError:
-            continue

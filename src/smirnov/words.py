@@ -259,19 +259,38 @@ def words_of_length(n: int, bound: int) -> Iterator[SegmentedSmirnovWord]:
 
 def set_sequences(mu: Sequence[int]) -> Iterator[tuple]:
     """Sequences of nonempty sets (sorted tuples) whose multiset union has content mu,
-    ordered by the size of the first set, then its letters, then the rest likewise."""
+    ordered by the size of the first set, then its letters, then the rest likewise.
+    One iterator per set on an explicit stack, so no recursion-depth limit applies."""
     counts = _trim(mu)
-    values = [value for value, count in enumerate(counts, start=1) if count]
-    if not values:
+    if not counts:
         yield ()
         return
+    prefix = []
+    stack = [_first_sets(counts)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        subset, rest = step
+        if any(rest):
+            prefix.append(subset)
+            stack.append(_first_sets(rest))
+        else:
+            yield tuple(prefix) + (subset,)
+
+
+def _first_sets(counts: Sequence[int]) -> Iterator[tuple]:
+    """(set, remaining counts) for each first set of `set_sequences`, in its order."""
+    values = [value for value, count in enumerate(counts, start=1) if count]
     for size in range(1, len(values) + 1):
         for subset in itertools.combinations(values, size):
             rest = list(counts)
             for value in subset:
                 rest[value - 1] -= 1
-            for tail in set_sequences(rest):
-                yield (subset,) + tail
+            yield subset, rest
 
 
 def enumerate_words_by_stat(mu: Sequence[int], k: int, l: int) -> Iterator[SegmentedSmirnovWord]:

@@ -7,7 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from smirnov import qengine, verify
+from smirnov import verify
 from smirnov.cli import main
 from smirnov.qengine import QPolynomial
 
@@ -39,6 +39,13 @@ class TestEnumerate:
     def test_k_without_l_rejected(self):
         result = run("enumerate", "--mu", "2,1", "--k", "1")
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("k, l", [("-1", "0"), ("0", "-1")])
+    def test_negative_k_or_l_is_usage_error(self, k, l):
+        result = run("enumerate", "--mu", "2,1", "--k", k, "--l", l)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is not in the range x>=0" in result.output
 
     def test_malformed_mu(self):
         result = run("enumerate", "--mu", "2,x")
@@ -175,13 +182,6 @@ class TestVerify:
         assert list(failed) == ["chromatic n=3"]
         assert failed["chromatic n=3"] == "mu=(2, 1) l=0 tally=0 recursion=1"
 
-    def test_memo_file_is_not_an_option(self, tmp_path):
-        # pool workers never handed their values back, so the file lost them
-        result = run("verify", "--suite", "main-theorem", "--n-max", "2",
-                     "--memo-file", str(tmp_path / "memo.json"))
-        assert result.exit_code == 2
-        assert not (tmp_path / "memo.json").exists()
-
     def test_thread_count_is_not_left_set(self, threads_at_start):
         # collecting or running the acceptance gate once set it for every later test
         assert os.environ.get("SMIRNOV_THREADS") == threads_at_start
@@ -208,66 +208,19 @@ class TestTable:
         assert result.exit_code == 0
         assert result.output.splitlines()[1:] == ["  0   0   0 1^0        1", "trivariate: 1"]
 
-    def test_memo_file_round_trip(self, tmp_path, monkeypatch):
-        memo = str(tmp_path / "memo.json")
-        outputs = []
-        for _ in range(2):  # each run starts from an empty table; the second reads the file
-            monkeypatch.setattr(qengine, "_DEFAULT_TABLE", qengine.SfCoefficientTable())
-            result = run("table", "--kind", "h-coeff", "--n", "4", "--memo-file", memo)
-            assert result.exit_code == 0
-            outputs.append(result.output)
-        assert qengine._DEFAULT_TABLE.memo
-        assert outputs[1] == outputs[0]
-
     def test_negative_n_rejected(self):
         result = run("table", "--kind", "hilbert", "--n", "-1")
         assert result.exit_code != 0
 
-    def test_edited_memo_is_usage_error(self, tmp_path):
-        # a hand-edited entry used to be printed as the answer, with exit 0
-        memo = str(tmp_path / "memo.json")
-        assert run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo).exit_code == 0
-        with open(memo) as fh:
-            data = json.load(fh)
-        for entry in data["entries"]:
-            if entry[:4] == [3, 1, 1, [1, 1, 1]]:
-                entry[4] = ["99"]
-        with open(memo, "w") as fh:
-            json.dump(data, fh)
-        result = run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo)
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "checksum" in result.output and memo in result.output
-        assert "99" not in result.output
 
-    @pytest.mark.parametrize("where", ["", "missing/memo.json"])
-    def test_unusable_memo_path_is_usage_error(self, tmp_path, where, monkeypatch):
-        # a directory failed in load, a missing directory in dump after the whole
-        # table was computed; both ended in a traceback, and now fail before any cell
-        monkeypatch.setattr(qengine, "_DEFAULT_TABLE", qengine.SfCoefficientTable())
-        memo = str(tmp_path / where)
-        result = run("table", "--kind", "h-coeff", "--n", "3", "--memo-file", memo)
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "memo file %s: " % memo in result.output
-        assert qengine._DEFAULT_TABLE.cache_info().misses == 0
-        assert not qengine._DEFAULT_TABLE.memo
-
-    def test_hilbert_memo_file_is_usage_error(self, tmp_path):
-        # the Hilbert table never reads the memo: this wrote "entries":[] with exit 0
-        memo = tmp_path / "memo.json"
-        result = run("table", "--kind", "hilbert", "--n", "3", "--memo-file", str(memo))
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "--kind hilbert" in result.output
-        assert not memo.exists()
-
-    @pytest.mark.parametrize("command", [["table", "--kind", "h-coeff", "--n", "3"]])
-    def test_malformed_memo_is_usage_error(self, tmp_path, command):
-        # this file used to end in a raw KeyError traceback
-        memo = tmp_path / "memo.json"
-        memo.write_text('[{"n": 3}]')
-        result = run(*command, "--memo-file", str(memo))
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert str(memo) in result.output
+@pytest.mark.parametrize("command", [
+    ["table", "--kind", "h-coeff", "--n", "3"],
+    ["verify", "--suite", "main-theorem", "--n-max", "2"],
+], ids=["table", "verify"])
+def test_memo_file_is_not_an_option(tmp_path, command):
+    # tables and suites are computed in process; neither reads nor writes a file
+    memo = tmp_path / "memo.json"
+    result = run(*command, "--memo-file", str(memo))
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--memo-file" in result.output
+    assert not memo.exists()

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from smirnov.models import (NoncrossingPartition, catalan,
-                            chromatic_path_enumerator,
+                            chromatic_path_enumerator, crossing,
                             enumerate_area0_polyominoes, enumerate_noncrossing,
                             enumerate_set_partitions, is_231_avoiding,
                             noncrossing_to_permutation, permutation_to_noncrossing,
@@ -50,6 +50,19 @@ class TestNoncrossing:
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
             NoncrossingPartition(((1, 3), (2, 4)))
+        assert crossing(((1, 3, 5), (2, 4))) == (1, 2, 3, 4)
+
+    def test_enumeration_matches_the_definition(self):
+        # blocks B != C cross when a < b < c < d with a, c in B and b, d in C
+        for n in range(9):
+            expected = {blocks for blocks in enumerate_set_partitions(n)
+                        if not any(a < b < c < d
+                                   for B, C in itertools.permutations(blocks, 2)
+                                   for a, c in itertools.combinations(B, 2)
+                                   for b, d in itertools.combinations(C, 2))}
+            found = [p.blocks for p in enumerate_noncrossing(n)]
+            assert len(found) == catalan(n)
+            assert set(found) == expected
 
     def test_crossing_runs_rejected(self):
         # decreasing runs {1,3} and {2,4} cross

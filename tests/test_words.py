@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ import smirnov
 from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify, delete_occurrence,
                            enumerate_words, enumerate_words_by_stat, extract_maximal,
                            insert_many, insert_maximal, parse_word, partitions_of,
-                           words_of_length)
+                           set_sequences, words_of_length)
 
 
 @st.composite
@@ -190,6 +191,46 @@ class TestDirectGenerator:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def _reference_set_sequences(counts):
+    """The recursive definition: each first set by size, then letters, followed
+    by every sequence of the remaining content."""
+    values = [v for v, c in enumerate(counts, start=1) if c]
+    if not values:
+        return [()]
+    out = []
+    for size in range(1, len(values) + 1):
+        for subset in itertools.combinations(values, size):
+            rest = [c - (v in subset) for v, c in enumerate(counts, start=1)]
+            out.extend((subset,) + tail for tail in _reference_set_sequences(rest))
+    return out
+
+
+class TestSetSequences:
+    def test_order_matches_the_recursive_definition(self):
+        # every composition of n <= 6, and every weak one with at most three parts
+        for n in range(7):
+            for length in range(n + 1):
+                for mu in itertools.product(range(n + 1), repeat=length):
+                    if sum(mu) == n and (all(mu) or length <= 3):
+                        assert list(set_sequences(mu)) == _reference_set_sequences(mu), mu
+
+    def test_long_content_needs_no_recursion(self):
+        # 1200 sets deep, far past the recursion limit set below
+        code = textwrap.dedent("""
+            import sys
+            from smirnov.paths import enumerate_area0
+            from smirnov.stats import enumerate_omp
+            sys.setrecursionlimit(100)
+            mu = (1,) * 1200
+            print(len(next(enumerate_area0(mu)).columns), len(next(enumerate_omp(mu)).blocks))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1200", "1200"]
 
 
 class TestInsertion:
