@@ -13,16 +13,26 @@ from .words import SegmentedSmirnovWord
 
 
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
-    """Letter tuples of Smirnov words of length n over the alphabet 1..bound."""
-    def rec(prefix: tuple):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for x in range(1, bound + 1):
-            if not prefix or prefix[-1] != x:
-                yield from rec(prefix + (x,))
-    if n >= 1:
-        yield from rec(())
+    """Letter tuples of Smirnov words of length n over the alphabet 1..bound,
+    in lexicographic order.  One letter iterator per position on an explicit
+    stack, so no recursion-depth limit applies."""
+    if n < 1:
+        return
+    prefix = []
+    stack = [iter(range(1, bound + 1))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif prefix and prefix[-1] == x:
+            continue
+        elif len(stack) == n:
+            yield tuple(prefix) + (x,)
+        else:
+            prefix.append(x)
+            stack.append(iter(range(1, bound + 1)))
 
 
 def chromatic_path_enumerator(n: int, content_bound: int) -> Dict[int, Counter]:
@@ -315,14 +325,31 @@ def permutation_to_noncrossing(perm: Sequence[int]) -> NoncrossingPartition:
 
 
 def enumerate_set_partitions(n: int) -> Iterator[tuple]:
-    """All set partitions of {1..n} as tuples of sorted tuples."""
+    """All set partitions of {1..n} as tuples of sorted tuples.
+
+    Each partition of {1..n-1}, in this order, gives first the one with the
+    block (n,) appended, then those with n added to each block in turn.  One
+    iterator per element on an explicit stack, so no recursion-depth limit
+    applies."""
     if n == 0:
         yield ()
         return
-    for rest in enumerate_set_partitions(n - 1):
-        yield rest + ((n,),)
-        for i in range(len(rest)):
-            yield rest[:i] + (rest[i] + (n,),) + rest[i + 1:]
+    stack = [iter([()])]  # stack[i] yields the partitions of {1..i}
+    while stack:
+        blocks = next(stack[-1], None)
+        if blocks is None:
+            stack.pop()
+        elif len(stack) == n:
+            yield from _add_element(blocks, n)
+        else:
+            stack.append(_add_element(blocks, len(stack)))
+
+
+def _add_element(blocks: tuple, x: int) -> Iterator[tuple]:
+    """The partitions with x added to `blocks`, in `enumerate_set_partitions` order."""
+    yield blocks + ((x,),)
+    for i in range(len(blocks)):
+        yield blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]
 
 
 def crossing(blocks: Sequence[Sequence[int]]) -> tuple:

@@ -333,6 +333,10 @@ class SfCoefficientTable(_PackedRecursion):
     packed q-binomials, which must be packed at the table's width.  `memo`
     also holds what `load` merged; a sub-key is unpacked only when it is
     asked for.
+
+    The coefficient is symmetric in k and l (the Theta operators commute,
+    and F is symmetric in r and a), so a cell (k, l) is held under
+    (min(k, l), max(k, l)): `memo` and `packed` hold only keys with k <= l.
     """
 
     SEED = {(0, 0, 0, ()): 1}
@@ -348,14 +352,15 @@ class SfCoefficientTable(_PackedRecursion):
             return _ONE if (k, l) == (0, 0) else _ZERO
         if n < 0 or k < 0 or l < 0 or k + l >= n:
             return _ZERO
-        return self._get((n, k, l, mu), n)
+        return self._get((n, k, l, mu) if k <= l else (n, l, k, mu), n)
 
     @staticmethod
     def _children(key: tuple) -> list:
         n, k, l, mu = key
         j = mu[-1]  # multiplicity of the largest letter (mu sorted descending)
         m, rest = n - j, mu[:-1]
-        return [(m, k2, l2, rest) for k2 in range(max(0, k - j), k + 1)
+        return [(m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest)
+                for k2 in range(max(0, k - j), k + 1)
                 for l2 in range(max(0, l - j), min(l, m - 1 - k2) + 1)]
 
     def _value(self, key: tuple) -> int:
@@ -366,7 +371,8 @@ class SfCoefficientTable(_PackedRecursion):
         total = 0
         for r in range(min(j, k) + 1):
             for a in range(min(j, l) + 1):
-                sub = get((m, k - r, l - a, rest))
+                k2, l2 = k - r, l - a
+                sub = get((m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest))
                 if sub:
                     F = factors.get((B, j, r, a))
                     total += (self._factor(B, j, r, a) if F is None else F) * sub
@@ -415,13 +421,15 @@ class SfCoefficientTable(_PackedRecursion):
             raise
 
     def load(self, path: str) -> None:
-        """Merge a file written by `dump` into the memo.
+        """Merge a file written by `dump` into the memo, each entry under
+        its k <= l key, so a file that also holds the k > l half loads too.
 
         Raises ValueError naming `path` if the file is not valid JSON, has
-        another version, fails its checksum, or holds an entry whose key is
+        another version, fails its checksum, holds an entry whose key is
         not canonical (mu positive, sorted descending and summing to n;
         k, l >= 0 and k + l < n) or whose value is not a trimmed list of
-        nonnegative integers written as strings.  Nothing is merged then.
+        nonnegative integers written as strings, or holds entries (k, l) and
+        (l, k) that disagree.  Nothing is merged then.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -472,7 +480,10 @@ def _memo_entries(text: str) -> dict:
         if values and (min(values) < 0 or values[-1] == 0):
             raise ValueError("value of n=%d k=%d l=%d mu=%r is not a trimmed list of "
                              "nonnegative integers" % (n, k, l, mu))
-        memo[(n, k, l, tuple(mu))] = _poly(values)
+        key = (n, k, l, tuple(mu)) if k <= l else (n, l, k, tuple(mu))
+        if memo.setdefault(key, _poly(values)).coeffs != values:
+            raise ValueError("two entries of n=%d mu=%r with {k, l} = {%d, %d} disagree"
+                             % (n, mu, k, l))
     return memo
 
 
@@ -504,6 +515,7 @@ class _StandardCount(_PackedRecursion):
 
     H(n, k, l) = [n-k-l]_q (H(n-1, k, l) + H(n-1, k, l-1) + H(n-1, k-1, l)
     + H(n-1, k-1, l-1)); a query fills the rows below it that this reaches.
+    The sum is symmetric in k and l, so a cell is held under its k <= l key.
     """
 
     SEED = {(0, 0, 0): 1}
@@ -513,20 +525,21 @@ class _StandardCount(_PackedRecursion):
             return _ONE if (k, l) == (0, 0) else _ZERO
         if n < 0 or k < 0 or l < 0 or k + l >= n:
             return _ZERO
-        return self._get((n, k, l), n)
+        return self._get((n, k, l) if k <= l else (n, l, k), n)
 
     _width = staticmethod(_count_slot)
 
     @staticmethod
     def _children(key: tuple) -> list:
         n, k, l = key
+        # (k, l - 1) is out of order only when k = l, and then it is (k - 1, l)
         return [(n - 1, k2, l2) for k2 in (k - 1, k) for l2 in (l - 1, l)
-                if k2 >= 0 and l2 >= 0 and k2 + l2 < n - 1]
+                if 0 <= k2 <= l2 and k2 + l2 < n - 1]
 
     def _value(self, key: tuple) -> int:
         n, k, l = key
         get = self.packed.get
-        rest = (get((n - 1, k, l), 0) + get((n - 1, k, l - 1), 0)
+        rest = (get((n - 1, k, l), 0) + get((n - 1, k, l - 1) if k < l else (n - 1, k - 1, l), 0)
                 + get((n - 1, k - 1, l), 0) + get((n - 1, k - 1, l - 1), 0))
         # [B]_q = (q^B - 1) / (q - 1): dividing by one slot costs time linear
         # in the size of rest, where multiplying by B slots does not

@@ -2,6 +2,10 @@
 partitions, area-0 parallelogram polyominoes, and the chromatic tallies."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -15,6 +19,65 @@ from smirnov.models import (NoncrossingPartition, catalan,
 from smirnov.qengine import enumerative_q_sum, sf_h_coefficient
 from smirnov.stats import sminv_count
 from smirnov.words import SegmentedSmirnovWord, parse_word, partitions_of
+
+
+def _reference_single_block_words(n, bound, prefix=()):
+    """The recursive definition: extend the prefix by each letter that differs from its last."""
+    if len(prefix) == n:
+        return [prefix]
+    return [word for x in range(1, bound + 1) if not prefix or prefix[-1] != x
+            for word in _reference_single_block_words(n, bound, prefix + (x,))]
+
+
+def _reference_set_partitions(n):
+    """The recursive definition: each partition of {1..n-1} gives n as a new
+    block first, then n added to each block in turn."""
+    if n == 0:
+        return [()]
+    out = []
+    for rest in _reference_set_partitions(n - 1):
+        out.append(rest + ((n,),))
+        out.extend(rest[:i] + (rest[i] + (n,),) + rest[i + 1:] for i in range(len(rest)))
+    return out
+
+
+def _run_with_recursion_limit_100(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", "import sys\nsys.setrecursionlimit(100)\n"
+                           + textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestEnumerationOrder:
+    def test_single_block_words_match_the_recursive_definition(self):
+        for n in range(7):
+            for bound in range(5):
+                expected = _reference_single_block_words(n, bound) if n else []
+                assert list(single_block_words(n, bound)) == expected, (n, bound)
+
+    def test_set_partitions_match_the_recursive_definition(self):
+        for n in range(9):
+            expected = _reference_set_partitions(n)
+            assert list(enumerate_set_partitions(n)) == expected, n
+            assert [p.blocks for p in enumerate_noncrossing(n)] == \
+                [blocks for blocks in expected if not crossing(blocks)], n
+
+    def test_long_words_need_no_recursion(self):
+        # 1200 letters deep, far past the recursion limit
+        assert _run_with_recursion_limit_100("""
+            from smirnov.models import single_block_words
+            word = next(single_block_words(1200, 2))
+            print(len(word), word == (1, 2) * 600)
+        """) == ["1200", "True"]
+
+    def test_large_set_partitions_need_no_recursion(self):
+        assert _run_with_recursion_limit_100("""
+            from smirnov.models import enumerate_set_partitions
+            blocks = next(enumerate_set_partitions(1200))
+            print(len(blocks), blocks == tuple((x,) for x in range(1, 1201)))
+        """) == ["1200", "True"]
 
 
 class TestAvoidance:

@@ -314,28 +314,54 @@ class TestRecursion:
         assert all(poly.coeffs == _old_coefficient(*key, memo) for key, poly in table.memo.items())
 
     def test_memo_holds_only_the_queried_cells(self):
+        # each cell is held under its k <= l key, so a k > l query is a memo hit
         table = SfCoefficientTable()
         for mu in partitions_of(8):
             for k, l in qengine.cells(8):
                 sf_h_coefficient(8, k, l, mu, table)
-        assert set(table.memo) == {(8, k, l, mu) for mu in partitions_of(8)
+        assert set(table.memo) == {(8, min(k, l), max(k, l), mu) for mu in partitions_of(8)
                                    for k, l in qengine.cells(8)}
         assert len(table.packed) > len(table.memo)  # the sub-keys stay packed
-        assert table.cache_info() == (0, len(table.memo), None, len(table.memo))
+        mirrored = sum(k > l for k, l in qengine.cells(8)) * len(list(partitions_of(8)))
+        assert table.cache_info() == (mirrored, len(table.memo), None, len(table.memo))
+        assert sf_h_coefficient(8, 3, 1, (4, 4), table) is table.memo[8, 1, 3, (4, 4)]
 
     def test_sub_key_is_served_from_packed_without_a_fill(self, monkeypatch):
         table = SfCoefficientTable()
         sf_h_coefficient(7, 2, 1, (3, 2, 1, 1), table)
-        sub = (6, 2, 1, (3, 2, 1))
-        assert sub in table.packed and sub not in table.memo
+        sub, held = (6, 2, 1, (3, 2, 1)), (6, 1, 2, (3, 2, 1))
+        assert held in table.packed and sub not in table.packed and held not in table.memo
 
         def fail(*args):
             raise AssertionError("a packed key was filled again")
         monkeypatch.setattr(qengine, "_fill", fail)
         poly = sf_h_coefficient(*sub, table)
         assert poly and poly.coeffs == _old_coefficient(*sub, {})
-        assert table.memo[sub] is poly
+        assert table.memo[held] is poly and sub not in table.memo
         assert table.cache_info() == (1, 1, None, 2)
+
+    def test_mirrored_cells_match_the_first_formula(self):
+        # the first formula never swaps k and l, so it checks every k > l cell
+        # that the table serves from its k <= l key
+        table, memo = SfCoefficientTable(), {}
+        for n in range(1, 10):
+            for mu in partitions_of(n):
+                for k, l in qengine.cells(n):
+                    if k > l:
+                        assert sf_h_coefficient(n, k, l, mu, table).coeffs == \
+                            _old_coefficient(n, k, l, mu, memo), (n, mu, k, l)
+
+    def test_full_tables_compute_only_the_k_le_l_half(self):
+        table = SfCoefficientTable()
+        for mu in partitions_of(12):
+            for k, l in qengine.cells(12):
+                sf_h_coefficient(12, k, l, mu, table)
+        assert table.cache_info() == (2772, 3234, None, 3234)
+        assert all(k <= l for _, k, l, _ in table.packed)
+        standard_q_count.cache_clear()
+        hilbert_table(30)
+        assert standard_q_count.cache_info() == (225, 240, None, 240)
+        assert all(k <= l for _, k, l in standard_q_count.packed)
 
     def test_factors_live_on_the_table(self):
         table = SfCoefficientTable()
@@ -496,6 +522,37 @@ class TestMemoFile:
             assert poly.coeffs == tuple(map(int, coeffs))
             assert poly.coeffs == _old_coefficient(n, k, l, tuple(mu), {})
         assert table.packed == {(0, 0, 0, ()): 1}
+
+    def test_file_with_both_halves_loads_under_k_le_l_keys(self, tmp_path, monkeypatch):
+        # a version-2 file as written before cells were held under k <= l
+        # keys: every queried cell, the k > l half included
+        entries = [[n, k, l, list(mu), list(map(str, _old_coefficient(n, k, l, mu, {})))]
+                   for n in range(1, 5) for mu in partitions_of(n) for k, l in qengine.cells(n)]
+        path = str(tmp_path / "memo.json")
+        _write_memo(path, entries)
+        table = SfCoefficientTable()
+        table.load(path)
+        assert set(table.memo) == {(n, min(k, l), max(k, l), tuple(mu))
+                                   for n, k, l, mu, _ in entries}
+
+        def fail(*args):
+            raise AssertionError("a loaded key was computed")
+        monkeypatch.setattr(qengine, "_fill", fail)
+        for n, k, l, mu, coeffs in entries:
+            assert sf_h_coefficient(n, k, l, mu, table).coeffs == tuple(map(int, coeffs))
+        assert table.cache_info().misses == 0
+
+    def test_mirrored_entries_that_disagree_are_rejected(self, tmp_path):
+        table, path = self.dumped(tmp_path)
+        before = dict(table.memo)
+        # (3, 0, 1) is right; its mirror (3, 1, 0) was edited and the checksum redone
+        entries = [[3, 0, 1, [1, 1, 1], ["2", "3", "1"]],
+                   [3, 0, 0, [1, 1, 1], ["1", "2", "2", "1"]],
+                   [3, 1, 0, [1, 1, 1], ["2", "3", "2"]]]
+        _write_memo(path, entries)
+        with pytest.raises(ValueError, match="memo file .*memo.json: .*disagree"):
+            table.load(path)
+        assert table.memo == before
 
     def test_edited_value_fails_checksum(self, tmp_path):
         # the hand edit that used to be printed as the answer
