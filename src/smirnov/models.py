@@ -4,35 +4,24 @@ noncrossing partitions)."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence
 
-from .words import SegmentedSmirnovWord
+from .words import SegmentedSmirnovWord, _depth_first
 
 
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
     """Letter tuples of Smirnov words of length n over the alphabet 1..bound,
-    in lexicographic order.  One letter iterator per position on an explicit
-    stack, so no recursion-depth limit applies."""
-    if n < 1:
-        return
-    prefix = []
-    stack = [iter(range(1, bound + 1))]
-    while stack:
-        x = next(stack[-1], None)
-        if x is None:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-        elif prefix and prefix[-1] == x:
-            continue
-        elif len(stack) == n:
-            yield tuple(prefix) + (x,)
-        else:
-            prefix.append(x)
-            stack.append(iter(range(1, bound + 1)))
+    in lexicographic order."""
+    def children(word):
+        done = len(word) + 1 == n
+        for x in range(1, bound + 1):
+            if not word or word[-1] != x:
+                yield word + (x,), done
+    return _depth_first((), children) if n >= 1 else iter(())
 
 
 def chromatic_path_enumerator(n: int, content_bound: int) -> Dict[int, Counter]:
@@ -71,15 +60,9 @@ class LabelledPolyomino:
             raise ValueError("paths must share their endpoints")
         if labelled_cells(up, lo) != [cell[:2] for cell in labels]:
             raise ValueError("labels must cover exactly the labelled cells")
-        width, height = self.width, self.height
-        uy = _strip_heights(up, width)
-        ly = _strip_heights(lo, width)
-        upper_vertices = set(_vertices(up))
-        lower_vertices = set(_vertices(lo))
-        shared = upper_vertices & lower_vertices
-        if shared != {(0, 0), (width, height)}:
+        if _paths_touch(up, lo):
             raise ValueError("upper path must stay strictly above the lower path")
-        if any(uy[x] < ly[x] for x in range(width)):
+        if _lower_above(up, lo):
             raise ValueError("upper path must stay above the lower path")
         by_cell = {cell[:2]: cell[2] for cell in labels}
         for (col, row), value in by_cell.items():
@@ -100,7 +83,7 @@ class LabelledPolyomino:
 
     def is_area_zero(self) -> bool:
         """No cell strictly inside beyond the labelled boundary cells."""
-        return set(region_cells(self.upper, self.lower)) == {cell[:2] for cell in self.labels}
+        return _area_zero(self.upper, self.lower)
 
     def to_json(self) -> dict:
         return {"upper": self.upper, "lower": self.lower,
@@ -135,6 +118,29 @@ def region_cells(upper: str, lower: str) -> List[tuple]:
     return [(x, y) for x in range(width) for y in range(ly[x], uy[x])]
 
 
+def _paths_touch(upper: str, lower: str) -> bool:
+    """Two paths with the same endpoints share a vertex besides them: after
+    some k steps, 0 < k < their length, both have taken as many north steps."""
+    gap = 0
+    for u, l in zip(upper[:-1], lower[:-1]):
+        gap += (u == "N") - (l == "N")
+        if gap == 0:
+            return True
+    return False
+
+
+def _lower_above(upper: str, lower: str) -> bool:
+    """The lower path runs above the upper path over some strip."""
+    width = upper.count("E")
+    return any(u < l for u, l in zip(_strip_heights(upper, width),
+                                     _strip_heights(lower, width)))
+
+
+def _area_zero(upper: str, lower: str) -> bool:
+    """Every cell between the paths is a labelled cell."""
+    return set(region_cells(upper, lower)) == set(labelled_cells(upper, lower))
+
+
 def _strip_heights(path: str, width: int) -> list:
     """Height of the path over each vertical strip [x, x+1]."""
     heights = [None] * width
@@ -146,17 +152,6 @@ def _strip_heights(path: str, width: int) -> list:
             heights[x] = y
             x += 1
     return heights
-
-
-def _vertices(path: str) -> Iterator[tuple]:
-    x = y = 0
-    yield (0, 0)
-    for s in path:
-        if s == "N":
-            y += 1
-        else:
-            x += 1
-        yield (x, y)
 
 
 def smirnov_to_polyomino(w) -> LabelledPolyomino:
@@ -171,36 +166,19 @@ def smirnov_to_polyomino(w) -> LabelledPolyomino:
         letters = tuple(w)
         SegmentedSmirnovWord(letters, (len(letters),))  # validate
     runs = []
-    cur = [letters[0]]
-    for x in letters[1:]:
-        if x > cur[-1]:
-            cur.append(x)
+    for x in letters:
+        if runs and x > runs[-1][-1]:
+            runs[-1].append(x)
         else:
-            runs.append(cur)
-            cur = [x]
-    runs.append(cur)
-    bottoms = [0]
-    for run in runs[:-1]:
-        bottoms.append(bottoms[-1] + len(run) - 1)
+            runs.append([x])
+    bottoms = list(itertools.accumulate((len(run) - 1 for run in runs[:-1]), initial=0))
     tops = [b + len(run) for b, run in zip(bottoms, runs)]
-    height = tops[-1]
-    upper = []
-    prev = 0
-    for t in tops:
-        upper.append("N" * (t - prev))
-        upper.append("E")
-        prev = t
-    lower = []
-    prev = 0
-    for b in bottoms:
-        lower.append("N" * (b - prev))
-        lower.append("E")
-        prev = b
-    lower.append("N" * (height - prev))
+    upper = "".join("N" * (t - s) + "E" for s, t in zip([0] + tops, tops))
+    lower = "".join("N" * (b - s) + "E" for s, b in zip([0] + bottoms, bottoms))
     labels = tuple((col, b + i, value)
                    for col, (b, run) in enumerate(zip(bottoms, runs))
                    for i, value in enumerate(run))
-    return LabelledPolyomino("".join(upper), "".join(lower), labels)
+    return LabelledPolyomino(upper, lower + "N" * (tops[-1] - bottoms[-1]), labels)
 
 
 def polyomino_to_word(p: LabelledPolyomino) -> SegmentedSmirnovWord:
@@ -215,36 +193,23 @@ def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator
     size = width + height
     paths = ["".join("N" if i in north else "E" for i in range(size))
              for north in map(set, itertools.combinations(range(size), height))]
-    for upper in paths:
-        uv = set(_vertices(upper))
-        uy = _strip_heights(upper, width)
-        for lower in paths:
-            if upper == lower:
-                continue
-            lv = set(_vertices(lower))
-            if uv & lv != {(0, 0), (width, height)}:
-                continue
-            ly = _strip_heights(lower, width)
-            if any(uy[x] < ly[x] for x in range(width)):
-                continue
-            cells = labelled_cells(upper, lower)
-            if set(region_cells(upper, lower)) != set(cells):
-                continue
-            for values in _labelings(cells, bound):
-                yield LabelledPolyomino(
-                    upper, lower,
-                    tuple((c, r, v) for (c, r), v in zip(cells, values)))
+    for upper, lower in itertools.product(paths, repeat=2):
+        if (upper == lower or _paths_touch(upper, lower) or _lower_above(upper, lower)
+                or not _area_zero(upper, lower)):
+            continue
+        cells = labelled_cells(upper, lower)
+        for values in _labelings(cells, bound):
+            yield LabelledPolyomino(upper, lower,
+                                    tuple((c, r, v) for (c, r), v in zip(cells, values)))
 
 
 def _labelings(cells: Sequence[tuple], bound: int) -> Iterator[tuple]:
-    """Backtracking fill in reading order: columns increase, rows decrease."""
+    """Backtracking fill of the (nonempty) cells in reading order: columns
+    increase, rows decrease."""
     index = {cell: i for i, cell in enumerate(cells)}
 
-    def rec(acc: tuple):
+    def children(acc: tuple):
         i = len(acc)
-        if i == len(cells):
-            yield acc
-            return
         col, row = cells[i]
         lo, hi = 1, bound
         below = index.get((col, row - 1))
@@ -253,10 +218,11 @@ def _labelings(cells: Sequence[tuple], bound: int) -> Iterator[tuple]:
         left = index.get((col - 1, row))
         if left is not None:
             hi = min(hi, acc[left] - 1)
+        done = i + 1 == len(cells)
         for v in range(lo, hi + 1):
-            yield from rec(acc + (v,))
+            yield acc + (v,), done
 
-    yield from rec(())
+    return _depth_first((), children)
 
 
 def is_231_avoiding(perm: Sequence[int]) -> bool:
@@ -312,52 +278,56 @@ def noncrossing_to_permutation(p: NoncrossingPartition) -> tuple:
 
 def permutation_to_noncrossing(perm: Sequence[int]) -> NoncrossingPartition:
     """Blocks are the maximal decreasing runs; raises if they cross."""
-    blocks = []
-    cur = [perm[0]]
-    for x in perm[1:]:
-        if x < cur[-1]:
-            cur.append(x)
+    runs = []
+    for x in perm:
+        if runs and x < runs[-1][-1]:
+            runs[-1].append(x)
         else:
-            blocks.append(tuple(cur))
-            cur = [x]
-    blocks.append(tuple(cur))
-    return NoncrossingPartition(tuple(blocks))
+            runs.append([x])
+    return NoncrossingPartition(tuple(map(tuple, runs)))
 
 
 def enumerate_set_partitions(n: int) -> Iterator[tuple]:
     """All set partitions of {1..n} as tuples of sorted tuples.
 
     Each partition of {1..n-1}, in this order, gives first the one with the
-    block (n,) appended, then those with n added to each block in turn.  One
-    iterator per element on an explicit stack, so no recursion-depth limit
-    applies."""
-    if n == 0:
-        yield ()
-        return
-    stack = [iter([()])]  # stack[i] yields the partitions of {1..i}
-    while stack:
-        blocks = next(stack[-1], None)
-        if blocks is None:
-            stack.pop()
-        elif len(stack) == n:
-            yield from _add_element(blocks, n)
+    block (n,) appended, then those with n added to each block in turn."""
+    def children(node):
+        blocks, x = node
+        x += 1
+        if x == n:
+            yield blocks + ((x,),), True
+            for i in range(len(blocks)):
+                yield blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:], True
         else:
-            stack.append(_add_element(blocks, len(stack)))
-
-
-def _add_element(blocks: tuple, x: int) -> Iterator[tuple]:
-    """The partitions with x added to `blocks`, in `enumerate_set_partitions` order."""
-    yield blocks + ((x,),)
-    for i in range(len(blocks)):
-        yield blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]
+            yield (blocks + ((x,),), x), False
+            for i in range(len(blocks)):
+                yield (blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:], x), False
+    return _depth_first(((), 0), children) if n > 0 else iter([()] if n == 0 else [])
 
 
 def crossing(blocks: Sequence[Sequence[int]]) -> tuple:
-    """The first a < b < c < d with a, c in one block and b, d in another, or ()."""
-    block_of = {x: i for i, blk in enumerate(blocks) for x in blk}
-    for a, b, c, d in itertools.combinations(sorted(block_of), 4):
-        if block_of[a] == block_of[c] != block_of[b] == block_of[d]:
-            return (a, b, c, d)
+    """The a < b < c < d with a, c in one block and b, d in another and the
+    smallest c, or ().  The blocks must be disjoint.
+
+    One scan in increasing order keeps the open blocks on a stack: an
+    element c of block B with previous element a either finds B on top or
+    finds another block C there, which gives (a, first of C, c, next of C
+    after c)."""
+    blocks = [sorted(blk) for blk in blocks]
+    place = {x: (i, j) for i, blk in enumerate(blocks) for j, x in enumerate(blk)}
+    open_blocks = []
+    for c in sorted(place):
+        i, j = place[c]
+        blk = blocks[i]
+        if j == 0:
+            if len(blk) > 1:
+                open_blocks.append(i)
+        elif open_blocks[-1] != i:
+            other = blocks[open_blocks[-1]]
+            return (blk[j - 1], other[0], c, other[bisect.bisect(other, c)])
+        elif j == len(blk) - 1:
+            open_blocks.pop()
     return ()
 
 

@@ -180,16 +180,35 @@ def classify(w: SegmentedSmirnovWord) -> PositionProfile:
                            w.ascent_positions(), w.descent_positions())
 
 
+def _depth_first(root, children) -> Iterator:
+    """Every complete node below root, depth first, in the order children gives.
+
+    children(node) yields (child, complete) pairs: a complete child is yielded,
+    any other is expanded.  One iterator per open node on an explicit stack,
+    so no recursion-depth limit applies.
+    """
+    stack = [children(root)]
+    while stack:
+        for child, complete in stack[-1]:
+            if complete:
+                yield child
+            else:
+                stack.append(children(child))
+                break
+        else:
+            stack.pop()
+
+
 def partitions_of(n: int) -> Iterator[tuple]:
-    """All partitions of n, parts weakly decreasing."""
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-    yield from rec(n, n)
+    """All partitions of n, parts weakly decreasing, largest first part first."""
+    def children(node):
+        parts, remaining, cap = node
+        if remaining <= cap:
+            yield parts + (remaining,), True
+            cap = remaining - 1
+        for part in range(cap, 0, -1):
+            yield (parts + (part,), remaining - part, part), False
+    return _depth_first(((), n, n), children) if n > 0 else iter([()] if n == 0 else [])
 
 
 def _trim(mu: Sequence[int]) -> tuple:
@@ -259,38 +278,21 @@ def words_of_length(n: int, bound: int) -> Iterator[SegmentedSmirnovWord]:
 
 def set_sequences(mu: Sequence[int]) -> Iterator[tuple]:
     """Sequences of nonempty sets (sorted tuples) whose multiset union has content mu,
-    ordered by the size of the first set, then its letters, then the rest likewise.
-    One iterator per set on an explicit stack, so no recursion-depth limit applies."""
+    ordered by the size of the first set, then its letters, then the rest likewise."""
+    def children(node):
+        prefix, counts = node
+        values = [value for value, count in enumerate(counts, start=1) if count]
+        for size in range(1, len(values) + 1):
+            for subset in itertools.combinations(values, size):
+                rest = list(counts)
+                for value in subset:
+                    rest[value - 1] -= 1
+                if any(rest):
+                    yield (prefix + (subset,), rest), False
+                else:
+                    yield prefix + (subset,), True
     counts = _trim(mu)
-    if not counts:
-        yield ()
-        return
-    prefix = []
-    stack = [_first_sets(counts)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        subset, rest = step
-        if any(rest):
-            prefix.append(subset)
-            stack.append(_first_sets(rest))
-        else:
-            yield tuple(prefix) + (subset,)
-
-
-def _first_sets(counts: Sequence[int]) -> Iterator[tuple]:
-    """(set, remaining counts) for each first set of `set_sequences`, in its order."""
-    values = [value for value, count in enumerate(counts, start=1) if count]
-    for size in range(1, len(values) + 1):
-        for subset in itertools.combinations(values, size):
-            rest = list(counts)
-            for value in subset:
-                rest[value - 1] -= 1
-            yield subset, rest
+    return _depth_first(((), counts), children) if counts else iter([()])
 
 
 def enumerate_words_by_stat(mu: Sequence[int], k: int, l: int) -> Iterator[SegmentedSmirnovWord]:

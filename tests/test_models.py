@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from smirnov.models import (NoncrossingPartition, catalan,
+from smirnov.models import (LabelledPolyomino, NoncrossingPartition, catalan,
                             chromatic_path_enumerator, crossing,
                             enumerate_area0_polyominoes, enumerate_noncrossing,
                             enumerate_set_partitions, is_231_avoiding,
@@ -41,6 +41,51 @@ def _reference_set_partitions(n):
     return out
 
 
+def _reference_area0_polyominoes(width, height, bound):
+    """The definition: every pair of distinct paths, upper first, that meet
+    only at their ends, with the lower path weakly below and every cell between
+    them labelled; each labelling filled recursively in reading order."""
+    size = width + height
+    paths = ["".join("N" if i in north else "E" for i in range(size))
+             for north in map(set, itertools.combinations(range(size), height))]
+
+    def vertices(path):
+        points = [(0, 0)]
+        for step in path:
+            x, y = points[-1]
+            points.append((x + (step == "E"), y + (step == "N")))
+        return points
+
+    def floor(path):  # height of the path under each column
+        return [y for (x, y), step in zip(vertices(path), path) if step == "E"]
+
+    def fill(cells, acc):
+        if len(acc) == len(cells):
+            return [acc]
+        col, row = cells[len(acc)]
+        got = dict(zip(cells, acc))
+        lo = got.get((col, row - 1), 0) + 1
+        hi = got.get((col - 1, row), bound + 1) - 1
+        return [out for v in range(lo, hi + 1) for out in fill(cells, acc + (v,))]
+
+    found = []
+    for upper in paths:
+        for lower in paths:
+            if upper == lower or len(set(vertices(upper)) & set(vertices(lower))) > 2:
+                continue
+            tops, bottoms = floor(upper), floor(lower)
+            if any(t < b for t, b in zip(tops, bottoms)):
+                continue
+            cells = sorted({point for point, step in zip(vertices(upper), upper) if step == "N"}
+                           | {point for point, step in zip(vertices(lower), lower)
+                              if step == "E"})
+            if cells != [(x, y) for x in range(width) for y in range(bottoms[x], tops[x])]:
+                continue
+            found.extend((upper, lower, tuple((c, r, v) for (c, r), v in zip(cells, values)))
+                         for values in fill(cells, ()))
+    return found
+
+
 def _run_with_recursion_limit_100(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", "import sys\nsys.setrecursionlimit(100)\n"
@@ -63,6 +108,15 @@ class TestEnumerationOrder:
             assert list(enumerate_set_partitions(n)) == expected, n
             assert [p.blocks for p in enumerate_noncrossing(n)] == \
                 [blocks for blocks in expected if not crossing(blocks)], n
+
+    def test_area0_polyominoes_match_the_recursive_definition(self):
+        for width in range(4):
+            for height in range(4):
+                for bound in range(width + height + 1):
+                    found = [(p.upper, p.lower, p.labels)
+                             for p in enumerate_area0_polyominoes(width, height, bound)]
+                    assert found == _reference_area0_polyominoes(width, height, bound), \
+                        (width, height, bound)
 
     def test_long_words_need_no_recursion(self):
         # 1200 letters deep, far past the recursion limit
@@ -127,6 +181,39 @@ class TestNoncrossing:
             assert len(found) == catalan(n)
             assert set(found) == expected
 
+    def test_crossing_matches_the_definition(self):
+        # every crossing a < b < c < d; crossing() returns one with the smallest c
+        for n in range(9):
+            for blocks in enumerate_set_partitions(n):
+                block_of = {x: i for i, blk in enumerate(blocks) for x in blk}
+                quadruples = [q for q in itertools.combinations(range(1, n + 1), 4)
+                              if block_of[q[0]] == block_of[q[2]] != block_of[q[1]] == block_of[q[3]]]
+                found = crossing(blocks)
+                if not quadruples:
+                    assert found == (), blocks
+                else:
+                    assert found in quadruples, (blocks, found)
+                    assert found[2] == min(q[2] for q in quadruples), (blocks, found)
+
+    def test_large_partitions_construct_quickly(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = textwrap.dedent("""
+            from smirnov.models import NoncrossingPartition
+            singletons = NoncrossingPartition(tuple((x,) for x in range(1, 2001)))
+            nested = NoncrossingPartition(tuple((x, 4001 - x) for x in range(1, 2001)))
+            print(singletons.n, nested.n)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2000", "4000"]
+
+    def test_empty_round_trip(self):
+        empty = NoncrossingPartition(())
+        assert list(enumerate_noncrossing(0)) == [empty]
+        assert noncrossing_to_permutation(empty) == ()
+        assert permutation_to_noncrossing(()) == empty
+
     def test_crossing_runs_rejected(self):
         # decreasing runs {1,3} and {2,4} cross
         with pytest.raises(ValueError):
@@ -165,6 +252,32 @@ class TestPolyomino:
             images.setdefault((n - k, k + 1), set()).add(p)
         for (width, height), image_set in images.items():
             assert set(enumerate_area0_polyominoes(width, height, n)) == image_set
+
+
+class TestPolyominoRejection:
+    def test_paths_touching_between_their_ends(self):
+        with pytest.raises(ValueError, match="strictly above"):
+            LabelledPolyomino("NENE", "ENEN", ((0, 0, 1), (1, 1, 1)))
+
+    def test_lower_path_above_the_upper_path(self):
+        with pytest.raises(ValueError, match="^upper path must stay above"):
+            LabelledPolyomino("EN", "NE", ((0, 1, 1), (1, 0, 1)))
+
+    def test_labels_not_covering_the_labelled_cells(self):
+        with pytest.raises(ValueError, match="cover exactly"):
+            LabelledPolyomino("NE", "EN", ())
+        with pytest.raises(ValueError, match="cover exactly"):
+            LabelledPolyomino("NE", "EN", ((0, 0, 1), (0, 1, 1)))
+
+    def test_column_labels_not_increasing(self):
+        LabelledPolyomino("NNE", "ENN", ((0, 0, 1), (0, 1, 2)))
+        with pytest.raises(ValueError, match="column 0 labels must increase"):
+            LabelledPolyomino("NNE", "ENN", ((0, 0, 2), (0, 1, 1)))
+
+    def test_row_labels_not_decreasing(self):
+        LabelledPolyomino("NEE", "EEN", ((0, 0, 2), (1, 0, 1)))
+        with pytest.raises(ValueError, match="row 0 labels must decrease"):
+            LabelledPolyomino("NEE", "EEN", ((0, 0, 1), (1, 0, 2)))
 
 
 class TestChromatic:

@@ -1,8 +1,10 @@
 """Unit tests for segmented Smirnov words: parsing, classification, enumeration,
 and the maximal-letter insertion/extraction machinery."""
 
+import ast
 import itertools
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -191,6 +193,40 @@ class TestDirectGenerator:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def _reference_partitions(n, cap=None):
+    """The recursive definition: each first part from the largest allowed down,
+    followed by every partition of the rest into parts no larger."""
+    if n == 0:
+        return [()]
+    cap = n if cap is None else cap
+    return [(part,) + rest for part in range(min(n, cap), 0, -1)
+            for rest in _reference_partitions(n - part, part)]
+
+
+class TestDepthFirst:
+    def test_partitions_match_the_recursive_definition(self):
+        for n in range(13):
+            assert list(partitions_of(n)) == _reference_partitions(n), n
+
+    def test_no_function_calls_itself(self):
+        # a call of a function's own name, bare or on self/cls, is recursion
+        found = []
+        for path in sorted(pathlib.Path(smirnov.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if (isinstance(f, ast.Name) and f.id == fn.name
+                            or isinstance(f, ast.Attribute) and f.attr == fn.name
+                            and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                        found.append("%s:%d %s" % (path.name, call.lineno, fn.name))
+        assert not found, found
 
 
 def _reference_set_sequences(counts):
