@@ -308,14 +308,19 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple]:
 
 def crossing(blocks: Sequence[Sequence[int]]) -> tuple:
     """The a < b < c < d with a, c in one block and b, d in another and the
-    smallest c, or ().  The blocks must be disjoint.
+    smallest c, or ().  Raises ValueError when an element appears twice.
 
     One scan in increasing order keeps the open blocks on a stack: an
     element c of block B with previous element a either finds B on top or
     finds another block C there, which gives (a, first of C, c, next of C
     after c)."""
     blocks = [sorted(blk) for blk in blocks]
-    place = {x: (i, j) for i, blk in enumerate(blocks) for j, x in enumerate(blk)}
+    place = {}
+    for i, blk in enumerate(blocks):
+        for j, x in enumerate(blk):
+            if x in place:
+                raise ValueError("element %r appears more than once in the blocks" % (x,))
+            place[x] = (i, j)
     open_blocks = []
     for c in sorted(place):
         i, j = place[c]

@@ -12,13 +12,11 @@ word under phi in reversed order.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .words import (SegmentedSmirnovWord, _from_blocks, _insert_blocks, _split_maximal,
-                    letter_content, set_sequences)
+from .words import SegmentedSmirnovWord, _from_blocks, letter_content, set_sequences
 
 
 @dataclass(frozen=True)
@@ -236,110 +234,113 @@ def _as_steps(D) -> DecoratedLabelledDyckPath:
     return D
 
 
-def _path_blocks(cols: list) -> list:
-    """[labels, flag] columns grouped into path blocks, each started by an
-    undecorated column."""
-    blocks = []
-    for col in cols:
-        if col[1] and blocks:
-            blocks[-1].append(col)
-        else:
-            blocks.append([col])
-    return blocks
+# roles of a letter occurrence, in the order phi and phi_inverse handle them
+# within one letter level: a rise lands on its block as the peaks joined it,
+# and on that block's last column before a fall appends another
+_PEAK, _RISE, _FALL, _SINGLETON = range(4)
 
 
 def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
     """The insertion bijection from words to area-0 decorated labelled paths.
 
-    Peels the maximal letter off the word's blocks until none is left, then
-    replays the levels, smallest letter first, on [labels, flag] columns.  Only
-    the result is validated, and the stack depth does not grow with the number
-    of levels.
+    One pass over the positions in increasing letter order.  An occurrence of
+    m takes its role from its neighbours in its block: both below m is a peak,
+    the left one only a rise, the right one only a fall, neither a singleton.
+    The positions placed so far form intervals, each a block of the word
+    without its letters above m and a block of the path; the interval
+    [lo, hi] keeps its first and last column at lo and its ends in hi_of[lo]
+    and lo_of[hi].  An occurrence's neighbours are always interval ends, so
+    no search is needed.  Columns are linked in path order through after[].
+    Only the result is validated.
     """
-    levels = []
-    blocks = w.blocks
-    while blocks:
-        level, blocks = _split_maximal(blocks)
-        levels.append(level)
-    path = []  # path blocks, each a list of [labels, flag] columns
-    for m, peaks, rises, falls, gaps in reversed(levels):
-        bp = len(path)
-        for t in peaks:  # word separator t joins path blocks bp - t and bp - t + 1
-            path[bp - t - 1][-1][0].append(m)
-            path[bp - t][0][1] = True
-        if peaks:
-            path = _path_blocks([col for blk in path for col in blk])
-        b1 = len(path)
-        for b in rises:
-            path[b1 - b][-1][0].append(m)
-        for b in falls:
-            path[b1 - b].append([[m], True])
-        grown = []
-        for gp, blk in enumerate(path):  # path gap gp is word gap b1 - gp
-            grown.extend([[[m], False]] for _ in range(gaps[b1 - gp]))
-            grown.append(blk)
-        grown.extend([[[m], False]] for _ in range(gaps[0]))
-        path = grown
-    return AreaZeroDecoratedPath([col for blk in path for col in blk])
+    letters = w.letters
+    n = len(letters)
+    inner = [True] * (n + 1)  # inner[i]: positions i - 1 and i share a block
+    starts = []
+    pos = 0
+    for part in w.shape:
+        inner[pos] = False
+        starts.append(pos)
+        pos += part
+    inner[n] = False
+    items = []
+    for i, m in enumerate(letters):
+        left = inner[i] and letters[i - 1] < m
+        right = inner[i + 1] and letters[i + 1] < m
+        items.append((m, _SINGLETON - 2 * left - right, i))
+    cols, decorated, after = [], [], []
+    head, tail, hi_of, lo_of = [0] * n, [0] * n, [0] * n, [0] * n
+    for m, role, i in sorted(items):
+        if role == _PEAK:  # right block's columns, then the left block's
+            lo, r = lo_of[i - 1], i + 1
+            cols[tail[r]].append(m)
+            decorated[head[lo]] = True
+            after[tail[r]] = head[lo]
+            head[lo], hi = head[r], hi_of[r]
+        elif role == _RISE:
+            lo, hi = lo_of[i - 1], i
+            cols[tail[lo]].append(m)
+        else:
+            c = len(cols)
+            cols.append([m])
+            decorated.append(role == _FALL)
+            after.append(-1)
+            if role == _FALL:
+                lo, r = i, i + 1
+                after[tail[r]] = c
+                head[lo], tail[lo], hi = head[r], c, hi_of[r]
+            else:
+                lo = hi = i
+                head[i] = tail[i] = c
+        hi_of[lo], lo_of[hi] = hi, lo
+    out = []
+    for start in reversed(starts):
+        c = head[start]
+        while c >= 0:
+            out.append((cols[c], decorated[c]))
+            c = after[c]
+    return AreaZeroDecoratedPath(out)
 
 
 def phi_inverse(D: AreaZeroDecoratedPath) -> SegmentedSmirnovWord:
-    """Inverse of phi: strips the maximal label off [labels, flag] columns until
-    none is left, then replays the word insertions smallest letter first.  Only
-    the result is validated."""
-    cols = [[list(labels), flag] for labels, flag in D.columns]
-    levels = []
-    while cols:
-        m = max(labels[-1] for labels, _ in cols)
-        path_gaps = []
-        pending = 0
-        nonsing = []
-        for blk in _path_blocks(cols):
-            if len(blk) == 1 and blk[0][0] == [m] and not blk[0][1]:
-                pending += 1
-            else:
-                path_gaps.append(pending)
-                pending = 0
-                nonsing.append(blk)
-        path_gaps.append(pending)
-        b1 = len(nonsing)
-        rises, falls, peak_cols = set(), set(), []
-        cols = []
-        for p, blk in enumerate(nonsing, start=1):
-            if blk[-1][0] == [m] and blk[-1][1]:
-                falls.add(b1 - p + 1)
-                blk.pop()
-            if not blk:
-                raise ValueError("malformed path: block reduces to nothing at level %d" % m)
-            if blk[-1][0][-1] == m:
-                if len(blk[-1][0]) == 1:
-                    raise ValueError("malformed path: bare maximal column inside a block")
-                rises.add(b1 - p + 1)
-                blk[-1][0].pop()
-            for idx in range(len(blk) - 1):
-                col = blk[idx]
-                if col[0][-1] == m:
-                    if len(col[0]) == 1:
-                        raise ValueError("malformed path: bare maximal column inside a block")
-                    nxt = blk[idx + 1]
-                    if not nxt[1]:
-                        raise ValueError("malformed path: interior maximal label not "
-                                         "followed by a decorated valley")
-                    col[0].pop()
-                    nxt[1] = False
-                    peak_cols.append(len(cols) + idx)
-            cols.extend(blk)
-        starts = [c for c, col in enumerate(cols) if not col[1]]
-        peaks = set()
-        for c in peak_cols:
-            if c + 1 < len(cols) and cols[c + 1][1]:
-                raise ValueError("malformed path: peak label not atop a block-final column")
-            peaks.add(len(starts) - bisect_right(starts, c))
-        levels.append((m, peaks, rises, falls, path_gaps[::-1]))
-    blocks = []
-    for m, peaks, rises, falls, gaps in reversed(levels):
-        blocks = _insert_blocks(blocks, m, peaks, rises, falls, gaps)
-    return _from_blocks(blocks)
+    """Inverse of phi: one pass over the labels in increasing order.
+
+    A decorated column c + 1 joins column c by a peak when top(c) > bottom(c + 1),
+    and that top label is the peak; otherwise by a fall, and bottom(c + 1) is
+    the fall.  Every other bottom label is a singleton, every other label a
+    rise.  The columns placed so far form intervals, kept at their ends as in
+    phi, each with its word: a peak gives word(left) + [m] + word(right), a
+    rise appends m, a fall prepends it, a singleton starts [m].  Only the
+    result is validated.
+    """
+    cols = D.columns
+    k = len(cols)
+    joined = [False] * (k + 1)  # joined[c]: a peak joins columns c - 1 and c
+    for c in range(1, k):
+        joined[c] = cols[c][1] and cols[c - 1][0][-1] > cols[c][0][0]
+    items = []
+    for c, (labels, flag) in enumerate(cols):
+        items.append((labels[0], _FALL if flag and not joined[c] else _SINGLETON, c))
+        items.extend((m, _RISE, c) for m in labels[1:-1])
+        if len(labels) > 1:
+            items.append((labels[-1], _PEAK if joined[c + 1] else _RISE, c))
+    words, hi_of, lo_of = [None] * k, [0] * k, [0] * k
+    for m, role, c in sorted(items):
+        if role == _PEAK:
+            lo, r = lo_of[c], c + 1
+            words[lo] = words[r] + [m] + words[lo]
+            hi = hi_of[r]
+        elif role == _RISE:
+            lo, hi = lo_of[c], c
+            words[lo].append(m)
+        elif role == _FALL:
+            lo, hi = lo_of[c - 1], c
+            words[lo].insert(0, m)
+        else:
+            lo = hi = c
+            words[c] = [m]
+        hi_of[lo], lo_of[hi] = hi, lo
+    return _from_blocks([words[c] for c in range(k - 1, -1, -1) if not cols[c][1]])
 
 
 def unified_dinv(D: AreaZeroDecoratedPath) -> int:

@@ -322,7 +322,7 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
 def _insert_blocks(blocks: list, m: int, peaks: Sequence[int], rises: Sequence[int],
                    falls: Sequence[int], gaps: Sequence[int]) -> list:
     """insert_many on a list of blocks (lists of letters, which it may change);
-    checks every index against the blocks.  paths.phi_inverse shares it."""
+    checks every index against the blocks."""
     s = len(blocks)
     peaks = set(peaks)
     for t in peaks:
@@ -445,7 +445,7 @@ def _split_maximal(blocks: Sequence[Sequence[int]]) -> tuple:
     """extract_maximal on the nonempty blocks of a word, which it leaves as they are.
 
     Returns ((m, peaks, rises, falls, gaps), stripped blocks as lists), the
-    fields meaning what they mean in InsertionRecord.  paths.phi shares it.
+    fields meaning what they mean in InsertionRecord.
     """
     m = max(map(max, blocks))
     gaps = []

@@ -169,6 +169,11 @@ class TestNoncrossing:
             NoncrossingPartition(((1, 3), (2, 4)))
         assert crossing(((1, 3, 5), (2, 4))) == (1, 2, 3, 4)
 
+    @pytest.mark.parametrize("blocks", [((2, 3), (1, 2)), ((1, 2, 2),), ((2,), (1,), (2,))])
+    def test_crossing_rejects_a_repeated_element(self, blocks):
+        with pytest.raises(ValueError, match="element 2 "):
+            crossing(blocks)
+
     def test_enumeration_matches_the_definition(self):
         # blocks B != C cross when a < b < c < d with a, c in B and b, d in C
         for n in range(9):

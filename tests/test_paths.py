@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smirnov.paths import (EMPTY_PATH, AreaZeroDecoratedPath,
                            DecoratedLabelledDyckPath, area, area_word,
@@ -18,6 +19,25 @@ from smirnov.stats import sdinv_count
 from smirnov.words import enumerate_words, extract_maximal, parse_word
 
 from test_words import words
+
+
+@st.composite
+def area0_paths(draw, n_max=16, alphabet_max=12):
+    """A valid area-0 path drawn column by column, a decorated valley allowed
+    wherever it is contractible.  Small alphabets make equal labels on either
+    side of a valley common."""
+    alphabet = draw(st.integers(min_value=1, max_value=alphabet_max))
+    columns = []
+    left = draw(st.integers(min_value=0, max_value=n_max))
+    while left:
+        labels = sorted(draw(st.sets(st.integers(min_value=1, max_value=alphabet),
+                                     min_size=1, max_size=min(left, alphabet))))
+        prev = columns[-1][0] if columns else None
+        contractible = prev is not None and (len(prev) >= 2 or prev[-1] < labels[0])
+        columns.append((tuple(labels), contractible and draw(st.booleans())))
+        left -= len(labels)
+    return AreaZeroDecoratedPath(tuple(columns))
+
 
 # the worked general path: area word 01112320, area 6, dinv 2
 GENERAL = DecoratedLabelledDyckPath(
@@ -143,9 +163,15 @@ class TestBijection:
         assert D.valley_count() == len(w.descent_positions())
         assert D.content() == w.content()
 
+    @given(area0_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_every_valid_path_is_an_image(self, D):
+        assert phi(phi_inverse(D)) == D
+
     def test_deep_words_need_no_deep_stack(self):
-        """phi and phi_inverse loop over the levels, one per distinct letter,
-        so 300 levels run under a recursion limit of 100."""
+        """phi and phi_inverse are single loops over the letters, so words
+        with 300 letters and over 100 distinct ones run under a recursion
+        limit of 100."""
         code = textwrap.dedent("""
             import random, sys
             from smirnov.paths import phi, phi_inverse
