@@ -85,10 +85,6 @@ class LabelledPolyomino:
         """No cell strictly inside beyond the labelled boundary cells."""
         return _area_zero(self.upper, self.lower)
 
-    def to_json(self) -> dict:
-        return {"upper": self.upper, "lower": self.lower,
-                "labels": [[col + 1, row + 1, value] for col, row, value in self.labels]}
-
 
 def labelled_cells(upper: str, lower: str) -> List[tuple]:
     """Sorted cells with an upper north step on the left or a lower east step below."""
@@ -154,19 +150,14 @@ def _strip_heights(path: str, width: int) -> list:
     return heights
 
 
-def smirnov_to_polyomino(w) -> LabelledPolyomino:
+def smirnov_to_polyomino(w: SegmentedSmirnovWord) -> LabelledPolyomino:
     """Map a single-block Smirnov word with k ascents to an area-0 labelled
     polyomino of size (n-k) x (k+1): columns are the maximal increasing runs,
     each new column starting at the previous column's top row."""
-    if isinstance(w, SegmentedSmirnovWord):
-        if len(w.shape) != 1:
-            raise ValueError("smirnov_to_polyomino requires a single-block word")
-        letters = w.letters
-    else:
-        letters = tuple(w)
-        SegmentedSmirnovWord(letters, (len(letters),))  # validate
+    if len(w.shape) != 1:
+        raise ValueError("smirnov_to_polyomino requires a single-block word")
     runs = []
-    for x in letters:
+    for x in w.letters:
         if runs and x > runs[-1][-1]:
             runs[-1].append(x)
         else:

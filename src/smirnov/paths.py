@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .words import SegmentedSmirnovWord, _from_blocks, letter_content, set_sequences
+from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, letter_content,
+                    occurrence_roles, set_sequences)
 
 
 @dataclass(frozen=True)
@@ -234,58 +235,41 @@ def _as_steps(D) -> DecoratedLabelledDyckPath:
     return D
 
 
-# roles of a letter occurrence, in the order phi and phi_inverse handle them
-# within one letter level: a rise lands on its block as the peaks joined it,
-# and on that block's last column before a fall appends another
-_PEAK, _RISE, _FALL, _SINGLETON = range(4)
-
-
 def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
     """The insertion bijection from words to area-0 decorated labelled paths.
 
     One pass over the positions in increasing letter order.  An occurrence of
-    m takes its role from its neighbours in its block: both below m is a peak,
-    the left one only a rise, the right one only a fall, neither a singleton.
-    The positions placed so far form intervals, each a block of the word
-    without its letters above m and a block of the path; the interval
-    [lo, hi] keeps its first and last column at lo and its ends in hi_of[lo]
-    and lo_of[hi].  An occurrence's neighbours are always interval ends, so
-    no search is needed.  Columns are linked in path order through after[].
-    Only the result is validated.
+    m is a peak, rise, fall or valley by words.occurrence_roles, and the
+    occurrences of one letter are placed in that order: a rise lands on its
+    block as the peaks joined it, and on that block's last column before a
+    fall appends another; a valley starts a column of its own.  The positions
+    placed so far form intervals, each a block of the word without its
+    letters above m and a block of the path; the interval [lo, hi] keeps its
+    first and last column at lo and its ends in hi_of[lo] and lo_of[hi].  An
+    occurrence's neighbours are always interval ends, so no search is needed.
+    Columns are linked in path order through after[].  Only the result is
+    validated.
     """
     letters = w.letters
     n = len(letters)
-    inner = [True] * (n + 1)  # inner[i]: positions i - 1 and i share a block
-    starts = []
-    pos = 0
-    for part in w.shape:
-        inner[pos] = False
-        starts.append(pos)
-        pos += part
-    inner[n] = False
-    items = []
-    for i, m in enumerate(letters):
-        left = inner[i] and letters[i - 1] < m
-        right = inner[i + 1] and letters[i + 1] < m
-        items.append((m, _SINGLETON - 2 * left - right, i))
     cols, decorated, after = [], [], []
     head, tail, hi_of, lo_of = [0] * n, [0] * n, [0] * n, [0] * n
-    for m, role, i in sorted(items):
-        if role == _PEAK:  # right block's columns, then the left block's
+    for m, role, i in sorted(zip(letters, occurrence_roles(w), range(n))):
+        if role == PEAK:  # right block's columns, then the left block's
             lo, r = lo_of[i - 1], i + 1
             cols[tail[r]].append(m)
             decorated[head[lo]] = True
             after[tail[r]] = head[lo]
             head[lo], hi = head[r], hi_of[r]
-        elif role == _RISE:
+        elif role == RISE:
             lo, hi = lo_of[i - 1], i
             cols[tail[lo]].append(m)
         else:
             c = len(cols)
             cols.append([m])
-            decorated.append(role == _FALL)
+            decorated.append(role == FALL)
             after.append(-1)
-            if role == _FALL:
+            if role == FALL:
                 lo, r = i, i + 1
                 after[tail[r]] = c
                 head[lo], tail[lo], hi = head[r], c, hi_of[r]
@@ -294,7 +278,9 @@ def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
                 head[i] = tail[i] = c
         hi_of[lo], lo_of[hi] = hi, lo
     out = []
-    for start in reversed(starts):
+    start = n
+    for part in reversed(w.shape):
+        start -= part
         c = head[start]
         while c >= 0:
             out.append((cols[c], decorated[c]))
@@ -307,11 +293,11 @@ def phi_inverse(D: AreaZeroDecoratedPath) -> SegmentedSmirnovWord:
 
     A decorated column c + 1 joins column c by a peak when top(c) > bottom(c + 1),
     and that top label is the peak; otherwise by a fall, and bottom(c + 1) is
-    the fall.  Every other bottom label is a singleton, every other label a
-    rise.  The columns placed so far form intervals, kept at their ends as in
-    phi, each with its word: a peak gives word(left) + [m] + word(right), a
-    rise appends m, a fall prepends it, a singleton starts [m].  Only the
-    result is validated.
+    the fall.  Every other bottom label is a valley, every other label a rise
+    (the roles of words.occurrence_roles).  The columns placed so far form
+    intervals, kept at their ends as in phi, each with its word: a peak gives
+    word(left) + [m] + word(right), a rise appends m, a fall prepends it, a
+    valley starts [m].  Only the result is validated.
     """
     cols = D.columns
     k = len(cols)
@@ -320,20 +306,20 @@ def phi_inverse(D: AreaZeroDecoratedPath) -> SegmentedSmirnovWord:
         joined[c] = cols[c][1] and cols[c - 1][0][-1] > cols[c][0][0]
     items = []
     for c, (labels, flag) in enumerate(cols):
-        items.append((labels[0], _FALL if flag and not joined[c] else _SINGLETON, c))
-        items.extend((m, _RISE, c) for m in labels[1:-1])
+        items.append((labels[0], FALL if flag and not joined[c] else VALLEY, c))
+        items.extend((m, RISE, c) for m in labels[1:-1])
         if len(labels) > 1:
-            items.append((labels[-1], _PEAK if joined[c + 1] else _RISE, c))
+            items.append((labels[-1], PEAK if joined[c + 1] else RISE, c))
     words, hi_of, lo_of = [None] * k, [0] * k, [0] * k
     for m, role, c in sorted(items):
-        if role == _PEAK:
+        if role == PEAK:
             lo, r = lo_of[c], c + 1
             words[lo] = words[r] + [m] + words[lo]
             hi = hi_of[r]
-        elif role == _RISE:
+        elif role == RISE:
             lo, hi = lo_of[c], c
             words[lo].append(m)
-        elif role == _FALL:
+        elif role == FALL:
             lo, hi = lo_of[c - 1], c
             words[lo].insert(0, m)
         else:

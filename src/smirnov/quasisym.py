@@ -5,20 +5,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .qengine import QPolynomial
 from .stats import sminv_count
-from .words import SegmentedSmirnovWord, enumerate_words_by_stat, letter_content, words_of_length
+from .words import (FALL, VALLEY, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
+                    occurrence_roles, words_of_length)
 
 
 def thick_positions(w: SegmentedSmirnovWord) -> frozenset:
-    """1-based i that start a block or are preceded (in the word) by a larger letter."""
-    out = set(w.initial_positions)
-    for i in range(2, w.n + 1):
-        if i not in out and w.letters[i - 2] > w.letters[i - 1]:
-            out.add(i)
-    return frozenset(out)
+    """1-based i whose letter has no smaller left neighbour in its block: the
+    falls and valleys of words.occurrence_roles."""
+    return frozenset(i for i, code in enumerate(occurrence_roles(w), start=1)
+                     if code == FALL or code == VALLEY)
 
 
 def standardize(w: SegmentedSmirnovWord) -> SegmentedSmirnovWord:
@@ -100,10 +99,6 @@ class FundamentalTerm:
     @property
     def split(self) -> frozenset:
         return frozenset(itertools.accumulate(self.composition[:-1]))
-
-    def to_json(self) -> dict:
-        return {"composition": list(self.composition),
-                "coeff": self.coefficient.to_json()}
 
 
 def fundamental_expansion(n: int, k: int, l: int) -> List[FundamentalTerm]:

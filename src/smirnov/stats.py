@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import SegmentedSmirnovWord, classify, letter_content, set_sequences
+from .words import PEAK, SegmentedSmirnovWord, letter_content, occurrence_roles, set_sequences
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
     """
     letters = w.letters
     n = w.n
-    profile = classify(w)
+    roles = occurrence_roles(w)
     initial = w.initial_positions
     sm_pairs = {}
     for i, j, tags in sminv(w).pairs:
@@ -136,7 +136,7 @@ def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
     pairs = []
     for i in range(1, n + 1):
         wi = letters[i - 1]
-        if profile.role(i) == "peak":
+        if roles[i - 1] == PEAK:
             for j in sm_pairs.get(i, ()):
                 pairs.append((i, j, ("peak",)))
             continue
@@ -170,9 +170,7 @@ def sdinv_count(w: SegmentedSmirnovWord) -> int:
     letters = w.letters
     n = len(letters)
     starts = _block_starts(w)
-    # a peak exceeds both neighbours inside its block (classify's "peak")
-    peaks = [0 < i < n - 1 and not starts[i] and not starts[i + 1]
-             and letters[i - 1] < letters[i] > letters[i + 1] for i in range(n)]
+    peaks = [code == PEAK for code in occurrence_roles(w)]
     total = 0
     if any(peaks):
         tally = _sminv_tally(letters, starts)

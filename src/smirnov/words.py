@@ -9,12 +9,15 @@ compositions of letter multiplicities.  All reported indices are 1-based.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 INSERTION_KINDS = ("peak", "double_fall", "double_rise", "singleton")
+
+# the role of a letter occurrence in its block (see occurrence_roles), in the
+# order in which paths.phi places the occurrences of one letter
+PEAK, RISE, FALL, VALLEY = range(4)
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,13 @@ def letter_content(letters: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class PositionProfile:
-    """Per-index classification in the infinity-padded word; all sets 1-based."""
+    """Per-index classification; all sets 1-based."""
 
     roles: tuple  # roles[i-1] in {"peak","valley","double_rise","double_fall"}
     initial: frozenset
     final: frozenset
     ascents: frozenset
     descents: frozenset
-
-    def role(self, i: int) -> str:
-        return self.roles[i - 1]
 
 
 def parse_word(text: str) -> SegmentedSmirnovWord:
@@ -155,28 +155,35 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
     return SegmentedSmirnovWord(tuple(letters), tuple(shape))
 
 
+def occurrence_roles(w: SegmentedSmirnovWord) -> list:
+    """codes[i]: the role of the letter at 0-based position i among its
+    in-block neighbours.  Both below it is PEAK, the left one only RISE, the
+    right one only FALL, neither VALLEY; a block of one letter is a VALLEY.
+    """
+    letters = w.letters
+    codes = []
+    pos = 0
+    for part in w.shape:
+        # left / right: that in-block neighbour is below letters[i]; equal
+        # letters never touch in a block, so the next letter's left neighbour
+        # is below it exactly when its own right neighbour is not
+        left = False
+        for i in range(pos, pos + part - 1):
+            right = letters[i + 1] < letters[i]
+            codes.append(VALLEY - 2 * left - right)
+            left = not right
+        codes.append(VALLEY - 2 * left)
+        pos += part
+    return codes
+
+
+_ROLE_NAMES = ("peak", "double_rise", "double_fall", "valley")  # by role code
+
+
 def classify(w: SegmentedSmirnovWord) -> PositionProfile:
-    """Roles from a(w) = inf w^1 inf w^2 inf ... inf; ascents/descents per block."""
-    inf = math.inf
-    padded = []
-    for block in w.blocks:
-        padded.append(inf)
-        padded.extend(block)
-    padded.append(inf)
-    roles = []
-    for p in range(1, len(padded) - 1):
-        if padded[p] is inf:
-            continue
-        left, mid, right = padded[p - 1], padded[p], padded[p + 1]
-        if left > mid < right:
-            roles.append("valley")
-        elif left < mid > right:
-            roles.append("peak")
-        elif left < mid:
-            roles.append("double_rise")
-        else:
-            roles.append("double_fall")
-    return PositionProfile(tuple(roles), w.initial_positions, w.final_positions,
+    """Roles named from occurrence_roles; ascents/descents per block."""
+    return PositionProfile(tuple(map(_ROLE_NAMES.__getitem__, occurrence_roles(w))),
+                           w.initial_positions, w.final_positions,
                            w.ascent_positions(), w.descent_positions())
 
 
@@ -315,14 +322,7 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
         raise ValueError("m=%d is smaller than a letter of the word" % m)
     if m < 1:
         raise ValueError("m must be a positive letter")
-    blocks = _insert_blocks([list(b) for b in w.blocks], m, peaks, rises, falls, gaps)
-    return _from_blocks(blocks)
-
-
-def _insert_blocks(blocks: list, m: int, peaks: Sequence[int], rises: Sequence[int],
-                   falls: Sequence[int], gaps: Sequence[int]) -> list:
-    """insert_many on a list of blocks (lists of letters, which it may change);
-    checks every index against the blocks."""
+    blocks = [list(b) for b in w.blocks]
     s = len(blocks)
     peaks = set(peaks)
     for t in peaks:
@@ -361,7 +361,7 @@ def _insert_blocks(blocks: list, m: int, peaks: Sequence[int], rises: Sequence[i
         out.extend([m] for _ in range(gaps[g]))
         out.append(blk)
     out.extend([m] for _ in range(gaps[s1]))
-    return out
+    return _from_blocks(out)
 
 
 def insert_maximal(w: SegmentedSmirnovWord, kind: str, slot: int, m: int) -> SegmentedSmirnovWord:
@@ -435,24 +435,12 @@ def extract_maximal(w: SegmentedSmirnovWord) -> tuple:
     """
     if w.n == 0:
         raise ValueError("cannot extract from the empty word")
-    (m, peaks, rises, falls, gaps), blocks = _split_maximal(w.blocks)
-    record = InsertionRecord(m, frozenset(peaks), frozenset(rises), frozenset(falls),
-                             tuple(gaps))
-    return _from_blocks(blocks), record
-
-
-def _split_maximal(blocks: Sequence[Sequence[int]]) -> tuple:
-    """extract_maximal on the nonempty blocks of a word, which it leaves as they are.
-
-    Returns ((m, peaks, rises, falls, gaps), stripped blocks as lists), the
-    fields meaning what they mean in InsertionRecord.
-    """
-    m = max(map(max, blocks))
+    m = max(w.letters)
     gaps = []
     pending = 0
     peaks, rises, falls = set(), set(), set()
     stripped = []
-    for blk in blocks:
+    for blk in w.blocks:
         if len(blk) == 1 and blk[0] == m:
             pending += 1
             continue
@@ -474,7 +462,9 @@ def _split_maximal(blocks: Sequence[Sequence[int]]) -> tuple:
         stripped.append(body)
         peaks.update(range(first, len(stripped)))
     gaps.append(pending)
-    return (m, peaks, rises, falls, gaps), stripped
+    record = InsertionRecord(m, frozenset(peaks), frozenset(rises), frozenset(falls),
+                             tuple(gaps))
+    return _from_blocks(stripped), record
 
 
 def _from_blocks(blocks: Sequence[Sequence[int]]) -> SegmentedSmirnovWord:

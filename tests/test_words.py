@@ -3,6 +3,7 @@ and the maximal-letter insertion/extraction machinery."""
 
 import ast
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smirnov
+from smirnov.quasisym import thick_positions
 from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify, delete_occurrence,
                            enumerate_words, enumerate_words_by_stat, extract_maximal,
                            insert_many, insert_maximal, parse_word, partitions_of,
@@ -109,6 +111,53 @@ class TestClassify:
         # each block alternates valley/peak runs: one more valley than peaks
         assert valleys - peaks == len(w.shape)
         assert len(profile.roles) == w.n
+
+
+def _reference_roles(w):
+    """Roles read in a(w) = inf w^1 inf w^2 inf ... inf, every block padded
+    with infinity on both sides."""
+    padded = []
+    for block in w.blocks:
+        padded.append(math.inf)
+        padded.extend(block)
+    padded.append(math.inf)
+    roles = []
+    for p in range(1, len(padded) - 1):
+        left, mid, right = padded[p - 1], padded[p], padded[p + 1]
+        if mid is math.inf:
+            continue
+        if left > mid < right:
+            roles.append("valley")
+        elif left < mid > right:
+            roles.append("peak")
+        elif left < mid:
+            roles.append("double_rise")
+        else:
+            roles.append("double_fall")
+    return tuple(roles)
+
+
+def _reference_thick(w):
+    """1-based i that start a block or follow a larger letter."""
+    return frozenset(i for i in range(1, w.n + 1)
+                     if i in w.initial_positions or w.letters[i - 2] > w.letters[i - 1])
+
+
+class TestOccurrenceRoles:
+    """classify and thick_positions read one role function; both are checked
+    against their definitions."""
+
+    def test_every_short_word_matches_the_definitions(self):
+        for n in range(6):
+            for w in words_of_length(n, n):
+                assert classify(w).roles == _reference_roles(w), w
+                assert thick_positions(w) == _reference_thick(w), w
+
+    @given(words(n_max=12, alphabet=6))
+    @settings(max_examples=200, deadline=None)
+    def test_random_words_match_the_definitions(self, w):
+        assert classify(w).roles == _reference_roles(w)
+        assert thick_positions(w) == _reference_thick(w)
 
 
 class TestEnumeration:
@@ -226,6 +275,26 @@ class TestDepthFirst:
                             or isinstance(f, ast.Attribute) and f.attr == fn.name
                             and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
                         found.append("%s:%d %s" % (path.name, call.lineno, fn.name))
+        assert not found, found
+
+    def test_no_module_imports_a_name_it_never_reads(self):
+        # __init__.py imports to re-export; every other module reads what it imports
+        found = []
+        for path in sorted(pathlib.Path(smirnov.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            found.extend("%s:%d %s" % (path.name, line, name)
+                         for name, line in imported.items() if name not in read)
         assert not found, found
 
 
