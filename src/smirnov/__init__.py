@@ -10,7 +10,7 @@ from .quasisym import (FundamentalTerm, expand_to_monomials, fundamental_expansi
 from .stats import (InversionReport, OrderedMultisetPartition, omp_dinv, omp_inv,
                     project, sdinv, sdinv_count, sminv, sminv_count)
 from .words import (PositionProfile, SegmentedSmirnovWord, classify, enumerate_words,
-                    enumerate_words_by_stat, insert_maximal, parse_word)
+                    enumerate_words_by_stat, parse_word)
 
 __version__ = "0.1.0"
 
@@ -20,8 +20,8 @@ __all__ = [
     "SegmentedSmirnovWord", "SfCoefficientTable", "area", "area_word", "classify",
     "enumerate_area0", "enumerate_words", "enumerate_words_by_stat",
     "enumerative_q_sum", "expand_to_monomials", "fundamental_expansion",
-    "hilbert_table", "insert_maximal", "omp_dinv", "omp_inv", "parse_word",
-    "path_dinv", "phi", "phi_inverse", "project", "q_binomial", "q_int", "sdinv",
-    "sdinv_count", "sf_h_coefficient", "sminv", "sminv_count", "split_set",
+    "hilbert_table", "omp_dinv", "omp_inv", "parse_word", "path_dinv", "phi",
+    "phi_inverse", "project", "q_binomial", "q_int", "sdinv", "sdinv_count",
+    "sf_h_coefficient", "sminv", "sminv_count", "split_set",
     "standard_q_count", "standardize", "unified_dinv",
 ]

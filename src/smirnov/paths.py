@@ -247,8 +247,8 @@ def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
     letters above m and a block of the path; the interval [lo, hi] keeps its
     first and last column at lo and its ends in hi_of[lo] and lo_of[hi].  An
     occurrence's neighbours are always interval ends, so no search is needed.
-    Columns are linked in path order through after[].  Only the result is
-    validated.
+    Columns are linked in path order through after[]; links that do not form
+    one path raise ValueError rather than loop.  Only the result is validated.
     """
     letters = w.letters
     n = len(letters)
@@ -283,6 +283,8 @@ def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:
         start -= part
         c = head[start]
         while c >= 0:
+            if len(out) == len(cols):
+                raise ValueError("the column links of %s do not form one path" % (w,))
             out.append((cols[c], decorated[c]))
             c = after[c]
     return AreaZeroDecoratedPath(out)

@@ -19,8 +19,8 @@ from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coeff
                       standard_q_count, stat_distributions)
 from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
                     sdinv_count, sminv, sminv_count)
-from .words import (INSERTION_KINDS, SegmentedSmirnovWord, enumerate_words, insert_many,
-                    partitions_of, shapes_for, words_of_length)
+from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
+                    shapes_for, words_of_length)
 
 
 @dataclass(frozen=True)
@@ -273,16 +273,22 @@ def _random_word(rng: random.Random, n_max: int) -> SegmentedSmirnovWord:
     return SegmentedSmirnovWord(letters, rng.choice(list(shapes_for(letters))))
 
 
+# each insertion kind: its insert_many keyword and its sites in a word of B
+# blocks; the s singletons go to a multiset of gaps, the others to a set of sites
+_INSERTION_SITES = {"peak": ("peaks", lambda B: range(1, B)),
+                    "double_fall": ("falls", lambda B: range(1, B + 1)),
+                    "double_rise": ("rises", lambda B: range(1, B + 1)),
+                    "singleton": ("gaps", lambda B: range(B + 1))}
+
+
 def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
     """The sum of q^stat over the ways to insert s letters m of one kind into w."""
-    blocks = len(w.shape)
-    if kind == "singleton":  # a multiset of s gaps among the blocks + 1
-        images = (insert_many(w, m, gaps=[placement.count(g) for g in range(blocks + 1)])
-                  for placement in itertools.combinations_with_replacement(range(blocks + 1), s))
-    else:  # a set of s sites
-        arg, sites = {"peak": ("peaks", range(1, blocks)),
-                      "double_fall": ("falls", range(1, blocks + 1)),
-                      "double_rise": ("rises", range(1, blocks + 1))}[kind]
+    arg, sites_in = _INSERTION_SITES[kind]
+    sites = sites_in(len(w.shape))
+    if arg == "gaps":  # insert_many takes a count per gap
+        images = (insert_many(w, m, gaps=[placement.count(g) for g in sites])
+                  for placement in itertools.combinations_with_replacement(sites, s))
+    else:
         images = (insert_many(w, m, **{arg: subset})
                   for subset in itertools.combinations(sites, s))
     return histogram_poly(Counter(map(stat_fn, images)))
@@ -311,8 +317,7 @@ def _case_insertion(args: tuple) -> str:
             elif kind == "singleton" and all(b != (mx,) for b in w.blocks):
                 m = mx
         B = len(w.shape)
-        max_s = B - 1 if kind == "peak" else (B if kind != "singleton" else B + 1)
-        s = rng.randint(0, max(0, min(max_s, 4)))
+        s = rng.randint(0, min(len(_INSERTION_SITES[kind][1](B)), 4))
         expected_shape = _expected_enumerator(kind, B, s)
         for stat_fn, name in ((sminv_count, "sminv"), (sdinv_count, "sdinv")):
             got = _insertion_enumerator(w, m, kind, s, stat_fn)
@@ -327,7 +332,7 @@ def _insertion_tasks(n_max: int, instances: int, seed: int) -> List[tuple]:
     batch_size = 50
     return [("insertion %s batch=%d" % (kind, start // batch_size), _case_insertion,
              (kind, start // batch_size, min(batch_size, instances - start), seed, n_max))
-            for kind in INSERTION_KINDS
+            for kind in _INSERTION_SITES
             for start in range(0, instances, batch_size)]
 
 

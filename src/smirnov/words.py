@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-INSERTION_KINDS = ("peak", "double_fall", "double_rise", "singleton")
-
 # the role of a letter occurrence in its block (see occurrence_roles), in the
 # order in which paths.phi places the occurrences of one letter
 PEAK, RISE, FALL, VALLEY = range(4)
@@ -362,54 +360,6 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
         out.append(blk)
     out.extend([m] for _ in range(gaps[s1]))
     return _from_blocks(out)
-
-
-def insert_maximal(w: SegmentedSmirnovWord, kind: str, slot: int, m: int) -> SegmentedSmirnovWord:
-    """Insert one occurrence of a maximal letter m at the named site.
-
-    Slots: peak -> separator 1..s-1; double_fall / double_rise -> block 1..s;
-    singleton -> gap 0..s (0 = before the first block).
-    """
-    if kind == "peak":
-        return insert_many(w, m, peaks=(slot,))
-    if kind == "double_fall":
-        return insert_many(w, m, falls=(slot,))
-    if kind == "double_rise":
-        return insert_many(w, m, rises=(slot,))
-    if kind == "singleton":
-        s = len(w.shape)
-        if not 0 <= slot <= s:
-            raise ValueError("singleton gap %d out of range 0..%d" % (slot, s))
-        gaps = [0] * (s + 1)
-        gaps[slot] = 1
-        return insert_many(w, m, gaps=gaps)
-    raise ValueError("unknown insertion kind %r" % (kind,))
-
-
-def delete_occurrence(w: SegmentedSmirnovWord, pos: int) -> SegmentedSmirnovWord:
-    """Remove the letter at 1-based pos, inverting the matching insertion.
-
-    Peaks are replaced by a block separator; initial/final letters are dropped
-    from their block; a singleton block disappears.
-    """
-    if not 1 <= pos <= w.n:
-        raise ValueError("position %d out of range" % pos)
-    blocks = [list(b) for b in w.blocks]
-    seen = 0
-    for b_idx, blk in enumerate(blocks):
-        if pos <= seen + len(blk):
-            in_block = pos - seen - 1
-            if len(blk) == 1:
-                del blocks[b_idx]
-            elif in_block == 0:
-                del blk[0]
-            elif in_block == len(blk) - 1:
-                del blk[-1]
-            else:
-                blocks[b_idx:b_idx + 1] = [blk[:in_block], blk[in_block + 1:]]
-            break
-        seen += len(blk)
-    return _from_blocks(blocks)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,28 @@ class TestBijection:
         blocks, longest, distinct = map(int, proc.stdout.split())
         assert blocks > 50 and longest > 5 and distinct > 100
 
+    def test_wrong_roles_fail_fast(self):
+        """With the RISE and FALL codes swapped, the column links of 1321
+        form a cycle; phi's output walk must raise ValueError, not loop
+        (in a subprocess capped in time and address space)."""
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            import smirnov.paths as paths
+            from smirnov.words import FALL, RISE, occurrence_roles, parse_word
+            swap = {RISE: FALL, FALL: RISE}
+            paths.occurrence_roles = lambda w: [swap.get(c, c) for c in occurrence_roles(w)]
+            try:
+                paths.phi(parse_word("1321"))
+            except ValueError as exc:
+                print(exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "do not form one path" in proc.stdout
+
 
 def _reference_apply_record(Dprime, rec):
     """One level of phi as first written: replay the insertions of the maximal

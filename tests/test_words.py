@@ -11,15 +11,15 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smirnov
 from smirnov.quasisym import thick_positions
-from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify, delete_occurrence,
+from smirnov.words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, classify,
                            enumerate_words, enumerate_words_by_stat, extract_maximal,
-                           insert_many, insert_maximal, parse_word, partitions_of,
-                           set_sequences, words_of_length)
+                           insert_many, parse_word, partitions_of, set_sequences,
+                           words_of_length)
 
 
 @st.composite
@@ -297,6 +297,12 @@ class TestDepthFirst:
                          for name, line in imported.items() if name not in read)
         assert not found, found
 
+    def test_every_export_resolves(self):
+        # a name left in __all__ after its definition is gone breaks `import *`
+        namespace = {}
+        exec("from smirnov import *", namespace)
+        assert set(smirnov.__all__) <= namespace.keys()
+
 
 def _reference_set_sequences(counts):
     """The recursive definition: each first set by size, then letters, followed
@@ -341,63 +347,50 @@ class TestSetSequences:
 class TestInsertion:
     def test_peak_insertion_joins_blocks(self):
         w = parse_word("21|13")
-        assert insert_maximal(w, "peak", 1, 4).text() == "21413"
+        assert insert_many(w, 4, peaks=(1,)).text() == "21413"
 
     def test_fall_rise_singleton(self):
         w = parse_word("21|13")
-        assert insert_maximal(w, "double_fall", 2, 4).text() == "21|413"
-        assert insert_maximal(w, "double_rise", 1, 4).text() == "214|13"
-        assert insert_maximal(w, "singleton", 0, 4).text() == "4|21|13"
-        assert insert_maximal(w, "singleton", 2, 4).text() == "21|13|4"
+        assert insert_many(w, 4, falls=(2,)).text() == "21|413"
+        assert insert_many(w, 4, rises=(1,)).text() == "214|13"
+        assert insert_many(w, 4, gaps=(1, 0, 0)).text() == "4|21|13"
+        assert insert_many(w, 4, gaps=(0, 0, 1)).text() == "21|13|4"
 
     def test_peak_requires_strictly_maximal(self):
         w = parse_word("21|13")
         with pytest.raises(ValueError):
-            insert_maximal(w, "peak", 1, 3)
+            insert_many(w, 3, peaks=(1,))
         with pytest.raises(ValueError):
-            insert_maximal(w, "peak", 1, 2)
+            insert_many(w, 2, peaks=(1,))
 
     def test_equal_max_rejected_when_adjacent(self):
         w = parse_word("41|13")
         with pytest.raises(ValueError):
-            insert_maximal(w, "double_fall", 1, 4)
-        assert insert_maximal(w, "double_fall", 2, 4).text() == "41|413"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            insert_maximal(parse_word("1"), "sideways", 1, 2)
+            insert_many(w, 4, falls=(1,))
+        assert insert_many(w, 4, falls=(2,)).text() == "41|413"
 
     def test_bulk_insertion_order(self):
         w = parse_word("21|13|2")
         out = insert_many(w, 4, peaks=(2,), rises=(1,), falls=(2,), gaps=(1, 0, 0))
         assert out.text() == "4|214|41342"
 
-    def test_insert_then_delete(self):
-        w = parse_word("231|12")
-        grown = insert_maximal(w, "peak", 1, 4)
-        assert delete_occurrence(grown, 4) == w
-        grown = insert_maximal(w, "singleton", 1, 4)
-        assert delete_occurrence(grown, 4) == w
-
-    @given(words(alphabet=3), st.sampled_from(["peak", "double_fall", "double_rise",
-                                               "singleton"]), st.data())
+    @given(words(alphabet=3), st.data())
     @settings(max_examples=120, deadline=None)
-    def test_insert_delete_round_trip(self, w, kind, data):
+    def test_insert_extract_round_trip(self, w, data):
         m = max(w.letters) + 1
         s = len(w.shape)
-        if kind == "peak":
-            if s < 2:
-                return
-            slot = data.draw(st.integers(min_value=1, max_value=s - 1))
-        elif kind == "singleton":
-            slot = data.draw(st.integers(min_value=0, max_value=s))
-        else:
-            slot = data.draw(st.integers(min_value=1, max_value=s))
-        grown = insert_maximal(w, kind, slot, m)
-        assert grown.content() == w.content() + (1,)
-        positions = [i + 1 for i, x in enumerate(grown.letters) if x == m]
-        assert len(positions) == 1
-        assert delete_occurrence(grown, positions[0]) == w
+        peaks = data.draw(st.frozensets(st.integers(min_value=1, max_value=s - 1))
+                          if s > 1 else st.just(frozenset()))
+        joined = st.frozensets(st.integers(min_value=1, max_value=s - len(peaks)))
+        rises, falls = data.draw(joined), data.draw(joined)
+        gaps = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                        min_size=s - len(peaks) + 1,
+                                        max_size=s - len(peaks) + 1)))
+        inserted = len(peaks) + len(rises) + len(falls) + sum(gaps)
+        assume(inserted)
+        grown = insert_many(w, m, peaks, rises, falls, gaps)
+        assert grown.content() == w.content() + (inserted,)
+        assert extract_maximal(grown) == (w, InsertionRecord(m, peaks, rises, falls, gaps))
 
     @given(words())
     @settings(max_examples=120, deadline=None)
