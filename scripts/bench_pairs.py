@@ -9,6 +9,11 @@ of each side, the change against the parent's median, and the pairs in which
 the change read lower.  A file that already exists keeps its other workloads
 and its hand-written "change", "claim" and "notes".
 
+The record is written in any case.  The script then names on stderr each seed
+whose parent and change runs tally different attempted/failed counts, and
+exits 1 if any run reports "correct": false, so that a gain measured on wrong
+outputs does not pass as a result.
+
 Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W
            --seeds 0 1 --pairs 5 --label L [--seconds 40] [--size full]
 """
@@ -62,6 +67,25 @@ def summary(pairs: list, bounds: dict) -> dict:
     return {"pairs": len(pairs), "tallies": tallies, "metrics": metrics}
 
 
+def check_runs(per_seed: dict) -> tuple:
+    """(wrong, differ) of the runs, per_seed mapping a seed's label to its
+    (parent, change) results: a message for each run that reports "correct":
+    false, and one for each seed whose parent and change runs tally different
+    attempted/failed counts."""
+    wrong, differ = [], []
+    for seed, pairs in per_seed.items():
+        for n, pair in enumerate(pairs, 1):
+            for side, result in zip(("parent", "change"), pair):
+                if not result["correct"]:
+                    wrong.append("%s pair %d: the %s run reports correct=false" % (seed, n, side))
+        parent, change = (sorted({"attempted=%d failed=%d" % (r["attempted"], r["failed"])
+                                  for r in results}) for results in zip(*pairs))
+        if parent != change:
+            differ.append("%s: attempted/failed differ, parent %s, change %s"
+                          % (seed, " ".join(parent), " ".join(change)))
+    return wrong, differ
+
+
 def git_head(root: str):
     proc = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
@@ -83,7 +107,7 @@ def main() -> None:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    per_seed, pooled = {}, []
+    per_seed, seed_pairs, pooled = {}, {}, []
     for seed in args.seeds:
         pairs = []
         for i in range(1, args.pairs + 1):
@@ -95,6 +119,7 @@ def main() -> None:
                 out["change"]["metrics"]["wall_s"]["value"]), file=sys.stderr)
             pairs.append((out["parent"], out["change"]))
         per_seed["seed %d" % seed] = summary(pairs, bounds)
+        seed_pairs["seed %d" % seed] = pairs
         pooled += pairs
     if len(args.seeds) > 1:
         per_seed["both seeds" if len(args.seeds) == 2 else "all seeds"] = summary(pooled, bounds)
@@ -123,6 +148,11 @@ def main() -> None:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print("wrote %s" % path, file=sys.stderr)
+    wrong, differ = check_runs(seed_pairs)
+    for line in differ + wrong:
+        print(line, file=sys.stderr)
+    if wrong:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -27,33 +27,45 @@ class InversionReport:
                 "pairs": [[i, j, "+".join(tags)] for i, j, tags in self.pairs]}
 
 
+# The tags of an sminv pair by case code: bit 8 is case 1, 4 case 2, 2 case 3
+# and 1 case 4; code 0 is no pair.
+_SMINV_TAGS = tuple(tuple(tag for tag, bit in zip("1234", (8, 4, 2, 1)) if code & bit)
+                    for code in range(16))
+_PEAK, _RIGHT, _LEFT = ("peak",), ("right",), ("left",)
+
+
 def sminv(w: SegmentedSmirnovWord) -> InversionReport:
     """Smirnov inversions: pairs i < j with w_i > w_j satisfying one of four cases.
 
     (1) j initial; (2) w_{j-1} > w_i; (3) i != j-1 and w_{j-1} = w_i with j-1
     initial; (4) i != j-1 and w_{j-2} > w_{j-1} = w_i.
+
+    One scan over the rows i, each over the columns j > i.  For j = i + 1,
+    w_{j-1} = w_i, so only case 1 can fire.  Each later column's case codes
+    are read once: case 1's bit, plus case 2's when w_{j-1} > w_i, or cases
+    3/4's when w_{j-1} = w_i; the tags come from constant tuples.  The pairs
+    come by i, then j.  `tests/test_stats.py::sminv_oracle` transcribes the
+    cases pair by pair and is the test oracle.
     """
     letters = w.letters
-    n = w.n
-    initial = w.initial_positions
+    n = len(letters)
+    starts = _block_starts(w)
+    cols = []  # cols[j - 2]: (j + 1, w_j, w_{j-1}, tags when w_{j-1} < w_i, > w_i, = w_i)
+    for j in range(2, n):
+        p = letters[j - 1]
+        one = 8 if starts[j] else 0
+        equal = one | (2 if starts[j - 1] else 0) | (1 if letters[j - 2] > p else 0)
+        cols.append((j + 1, letters[j], p, _SMINV_TAGS[one], _SMINV_TAGS[one | 4],
+                     _SMINV_TAGS[equal]))
     pairs = []
-    for i in range(1, n + 1):
-        wi = letters[i - 1]
-        for j in range(i + 1, n + 1):
-            if wi <= letters[j - 1]:
-                continue
-            tags = []
-            if j in initial:
-                tags.append("1")
-            if j >= 2 and letters[j - 2] > wi:
-                tags.append("2")
-            if i != j - 1 and j >= 2 and letters[j - 2] == wi:
-                if (j - 1) in initial:
-                    tags.append("3")
-                if j >= 3 and letters[j - 3] > letters[j - 2]:
-                    tags.append("4")
-            if tags:
-                pairs.append((i, j, tuple(tags)))
+    for i, wi in enumerate(letters):
+        if i + 1 < n and starts[i + 1] and letters[i + 1] < wi:
+            pairs.append((i + 1, i + 2, _SMINV_TAGS[8]))
+        for j1, wj, p, below, above, equal in cols[i:]:
+            if wj < wi:
+                tags = above if p > wi else equal if p == wi else below
+                if tags:
+                    pairs.append((i + 1, j1, tags))
     return InversionReport(tuple(pairs))
 
 
@@ -124,33 +136,57 @@ def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
     For i not a peak: right pairs i < j with equal heights at level w_i (and if
     j = i + 1 then j must be initial); left pairs i > j + 1 with height_{w_i}(i)
     = height_{w_i}(j) + 1.  For i a peak: exactly the sminversions (i, j).
+
+    One scan per letter m, as in `sdinv_count`, carries height_m (reset at
+    block starts and after a letter > m, raised after a letter < m).  It
+    records the height of each m and, in order, each letter below m with its
+    height and whether the scan has just been reset (sminv cases 1 and 2) or
+    has just passed an m that stood at a reset (cases 3 and 4).  A peak's right
+    neighbour is below it in its block, so a peak i pairs exactly with the
+    flagged letters below m after i + 1.  One pass over the rows then walks
+    the letters below w_i, so the pairs come by i, then j, with no sort.
+    `tests/test_stats.py::sdinv_oracle` transcribes the definition pair by pair
+    and is the test oracle.
     """
     letters = w.letters
-    n = w.n
-    roles = occurrence_roles(w)
-    initial = w.initial_positions
-    sm_pairs = {}
-    for i, j, tags in sminv(w).pairs:
-        sm_pairs.setdefault(i, []).append(j)
-    heights = {m: height_array(w, m) for m in set(letters)}
+    n = len(letters)
+    starts = _block_starts(w)
+    heights = [0] * n  # heights[k]: height_{w_k}(k)
+    lows = {}  # lows[m]: (j, height_m(j), reset) for each j with w_j < m, in order
+    positions = list(zip(range(n), letters, starts))  # walked once per letter
+    for m in set(letters) - {min(letters, default=0)}:
+        below = lows[m] = []
+        run = 0
+        reset = True
+        for k, letter, start in positions:
+            if start:
+                run = 0
+                reset = True
+            if letter < m:
+                below.append((k, run, reset))
+                run += 1
+                reset = False
+            elif letter > m:
+                run = 0
+                reset = True
+            else:  # an m keeps the reset flag: cases 3 and 4
+                heights[k] = run
     pairs = []
-    for i in range(1, n + 1):
-        wi = letters[i - 1]
-        if roles[i - 1] == PEAK:
-            for j in sm_pairs.get(i, ()):
-                pairs.append((i, j, ("peak",)))
+    for i, wi, role in zip(range(n), letters, occurrence_roles(w)):
+        if wi not in lows:
             continue
-        h = heights[wi]
-        hi = h[i - 1]
-        for j in range(1, n + 1):
-            if wi <= letters[j - 1]:
-                continue
-            if i < j:
-                if h[j - 1] == hi and (j != i + 1 or j in initial):
-                    pairs.append((i, j, ("right",)))
-            elif i > j + 1:
-                if hi == h[j - 1] + 1:
-                    pairs.append((i, j, ("left",)))
+        if role == PEAK:
+            for j, _, reset in lows[wi]:
+                if reset and j > i + 1:
+                    pairs.append((i + 1, j + 1, _PEAK))
+            continue
+        h = heights[i]
+        for j, g, _ in lows[wi]:
+            if j < i - 1:
+                if g == h - 1:
+                    pairs.append((i + 1, j + 1, _LEFT))
+            elif j > i and g == h and (j > i + 1 or starts[j]):
+                pairs.append((i + 1, j + 1, _RIGHT))
     return InversionReport(tuple(pairs))
 
 

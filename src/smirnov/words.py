@@ -130,7 +130,8 @@ class PositionProfile:
 
 
 def parse_word(text: str) -> SegmentedSmirnovWord:
-    """Parse bar notation like "231|3212|12" or "12,3|4,12"."""
+    """Parse bar notation like "231|3212|12" or "12,3|4,12"; a letter is written
+    in ASCII digits."""
     if text == "":
         raise ValueError("empty word text (construct the empty word directly)")
     letters = []
@@ -145,7 +146,7 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
             tokens = list(chunk)
         block = []
         for tok in tokens:
-            if not tok.isdigit() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
                 raise ValueError("bad letter %r in block %d" % (tok, block_no))
             block.append(int(tok))
         letters.extend(block)

@@ -63,8 +63,34 @@ class TestStat:
     def test_sminv_text(self):
         result = run("stat", "--word", "231|3212|12", "--stat", "sminv")
         assert result.exit_code == 0
-        assert "sminv(231|3212|12) = 8" in result.output
-        assert "(1,8) case 1" in result.output
+        assert result.output.splitlines() == [
+            "sminv(231|3212|12) = 8",
+            "  (1,3) case 2",
+            "  (1,6) case 4",
+            "  (1,8) case 1",
+            "  (2,5) case 3",
+            "  (2,8) case 1",
+            "  (4,8) case 1",
+            "  (5,8) case 1",
+            "  (7,8) case 1",
+        ]
+
+    def test_sdinv_text(self):
+        result = run("stat", "--word", "231|3212|12", "--stat", "sdinv")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "sdinv(231|3212|12) = 10",
+            "  (1,3) case right",
+            "  (1,6) case right",
+            "  (1,8) case right",
+            "  (2,5) case peak",
+            "  (2,8) case peak",
+            "  (4,8) case right",
+            "  (5,8) case right",
+            "  (7,3) case left",
+            "  (9,3) case left",
+            "  (9,6) case left",
+        ]
 
     def test_sdinv_json(self):
         result = run("stat", "--word", "231|3212|12", "--stat", "sdinv", "--json")
@@ -75,6 +101,11 @@ class TestStat:
     def test_bad_word(self):
         result = run("stat", "--word", "11", "--stat", "sminv")
         assert result.exit_code != 0
+
+    def test_non_ascii_digit_is_a_bad_letter(self):
+        result = run("stat", "--word", "²", "--stat", "sminv")
+        assert result.exit_code == 1
+        assert "cannot parse word: bad letter '²' in block 1" in result.output
 
 
 class TestVerify:

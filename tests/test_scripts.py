@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs and reports the expected figures."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,3 +44,32 @@ def test_bench_pairs_records_one_tiny_pair(tmp_path):
                                      "peak_rss_mb"}
     wall = entry["metrics"]["wall_s"]
     assert wall["bound"] == 0.25 and len(wall["parent"]["runs"]) == len(wall["change"]["runs"]) == 1
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(correct=True, attempted=8000, failed=730):
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {}}
+
+
+def test_bench_pairs_check_runs_passes_equal_correct_runs():
+    check_runs = _bench_pairs().check_runs
+    pairs = [(_result(), _result()), (_result(), _result())]
+    assert check_runs({"seed 0": pairs, "seed 1": pairs}) == ([], [])
+
+
+def test_bench_pairs_check_runs_names_wrong_runs_and_differing_tallies():
+    check_runs = _bench_pairs().check_runs
+    wrong, differ = check_runs({
+        "seed 0": [(_result(), _result()), (_result(), _result(correct=False))],
+        "seed 1": [(_result(), _result(failed=697)), (_result(), _result(failed=697))],
+    })
+    assert wrong == ["seed 0 pair 2: the change run reports correct=false"]
+    assert differ == ["seed 1: attempted/failed differ, parent attempted=8000 failed=730, "
+                      "change attempted=8000 failed=697"]

@@ -1,20 +1,89 @@
 """Unit tests for the statistics sminv, sdinv, heights, and the ordered
 multiset partition statistics inv and dinv."""
 
-import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, height_array,
                            omp_dinv, omp_inv, project, sdinv, sdinv_count,
                            sminv, sminv_count)
-from smirnov.words import (EMPTY_WORD, SegmentedSmirnovWord, classify,
-                           enumerate_words, parse_word)
+from smirnov.words import (EMPTY_WORD, PEAK, classify, enumerate_words,
+                           occurrence_roles, parse_word, words_of_length)
 
 from test_words import words
+
+
+def sminv_oracle(w):
+    """The sminv pairs, transcribed from the four cases pair by pair: i < j
+    with w_i > w_j and (1) j initial; (2) w_{j-1} > w_i; (3) i != j-1 and
+    w_{j-1} = w_i with j-1 initial; (4) i != j-1 and w_{j-2} > w_{j-1} = w_i."""
+    letters = w.letters
+    n = w.n
+    initial = w.initial_positions
+    pairs = []
+    for i in range(1, n + 1):
+        wi = letters[i - 1]
+        for j in range(i + 1, n + 1):
+            if wi <= letters[j - 1]:
+                continue
+            tags = []
+            if j in initial:
+                tags.append("1")
+            if j >= 2 and letters[j - 2] > wi:
+                tags.append("2")
+            if i != j - 1 and j >= 2 and letters[j - 2] == wi:
+                if (j - 1) in initial:
+                    tags.append("3")
+                if j >= 3 and letters[j - 3] > letters[j - 2]:
+                    tags.append("4")
+            if tags:
+                pairs.append((i, j, tuple(tags)))
+    return tuple(pairs)
+
+
+def sdinv_oracle(w):
+    """The sdinv pairs, transcribed from the definition pair by pair: a peak i
+    has its sminv pairs; any other i pairs with j when w_i > w_j and either
+    i < j at equal height_{w_i} (j = i + 1 only if j is initial) or i > j + 1
+    one step higher."""
+    letters = w.letters
+    n = w.n
+    roles = occurrence_roles(w)
+    initial = w.initial_positions
+    sm_pairs = {}
+    for i, j, tags in sminv_oracle(w):
+        sm_pairs.setdefault(i, []).append(j)
+    heights = {m: height_array(w, m) for m in set(letters)}
+    pairs = []
+    for i in range(1, n + 1):
+        wi = letters[i - 1]
+        if roles[i - 1] == PEAK:
+            for j in sm_pairs.get(i, ()):
+                pairs.append((i, j, ("peak",)))
+            continue
+        h = heights[wi]
+        hi = h[i - 1]
+        for j in range(1, n + 1):
+            if wi <= letters[j - 1]:
+                continue
+            if i < j:
+                if h[j - 1] == hi and (j != i + 1 or j in initial):
+                    pairs.append((i, j, ("right",)))
+            elif i > j + 1:
+                if hi == h[j - 1] + 1:
+                    pairs.append((i, j, ("left",)))
+    return tuple(pairs)
+
+
+@pytest.fixture(scope="module")
+def small_words():
+    """(w, sminv_oracle(w), sdinv_oracle(w)) for every word of
+    words_of_length(n, n) with n <= 5."""
+    return [(w, sminv_oracle(w), sdinv_oracle(w))
+            for n in range(6) for w in words_of_length(n, n)]
+
 
 W = parse_word("231|3212|12")
 
@@ -114,29 +183,36 @@ class TestSdinv:
             assert w.letters[i - 1] > w.letters[j - 1]
 
 
-def _weak_compositions(n_max):
-    """Every weak composition of n <= n_max with at most n parts, last part nonzero."""
-    for n in range(n_max + 1):
-        for parts in range(n + 1):
-            for mu in itertools.product(range(n + 1), repeat=parts):
-                if sum(mu) == n and (not mu or mu[-1]):
-                    yield mu
+class TestOracles:
+    """The tagged reports equal the oracles exactly: pairs, order and tags."""
 
-
-class TestCountKernels:
-    """sminv_count and sdinv_count build no report; the tagged reports are their oracle."""
-
-    def test_match_the_reports_on_every_small_word(self):
-        for mu in _weak_compositions(5):
-            for w in enumerate_words(mu):
-                assert sminv_count(w) == sminv(w).count, w
-                assert sdinv_count(w) == sdinv(w).count, w
+    def test_every_small_word(self, small_words):
+        assert len(small_words) == 34260
+        for w, sm, sd in small_words:
+            assert sminv(w).pairs == sm, w
+            assert sdinv(w).pairs == sd, w
 
     @given(words(n_max=16, alphabet=12))
     @settings(max_examples=300, deadline=None)
-    def test_match_the_reports_on_long_words(self, w):
-        assert sminv_count(w) == sminv(w).count
-        assert sdinv_count(w) == sdinv(w).count
+    def test_long_words(self, w):
+        assert sminv(w).pairs == sminv_oracle(w)
+        assert sdinv(w).pairs == sdinv_oracle(w)
+
+
+class TestCountKernels:
+    """sminv_count and sdinv_count build no report; sminv_oracle and
+    sdinv_oracle are their oracle."""
+
+    def test_match_the_oracles_on_every_small_word(self, small_words):
+        for w, sm, sd in small_words:
+            assert sminv_count(w) == len(sm), w
+            assert sdinv_count(w) == len(sd), w
+
+    @given(words(n_max=16, alphabet=12))
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_oracles_on_long_words(self, w):
+        assert sminv_count(w) == len(sminv_oracle(w))
+        assert sdinv_count(w) == len(sdinv_oracle(w))
 
     def test_empty_word(self):
         assert sminv_count(EMPTY_WORD) == 0

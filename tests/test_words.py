@@ -86,6 +86,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_word("1a2")
 
+    @pytest.mark.parametrize("text,letter", [("١٢", "١"), ("²", "²"), ("1,٣", "٣")])
+    def test_only_ascii_digits_are_letters(self, text, letter):
+        # str.isdigit() also accepts Arabic-Indic digits and superscripts
+        with pytest.raises(ValueError, match="bad letter %r in block 1" % letter):
+            parse_word(text)
+
     def test_json_round_trip(self):
         w = parse_word("231|3212|12")
         assert SegmentedSmirnovWord.from_json(w.to_json()) == w
