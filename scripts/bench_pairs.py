@@ -86,10 +86,18 @@ def check_runs(per_seed: dict) -> tuple:
     return wrong, differ
 
 
-def git_head(root: str):
-    proc = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def git_head(root: str) -> str:
+    """The short commit of root when root is the top directory of a git
+    checkout, else root's absolute path: a copy made with git archive, or a
+    directory inside another checkout, has no commit of its own."""
+    def git(*args) -> str:
+        return subprocess.run(["git", "-C", root, *args],
+                              capture_output=True, text=True).stdout.strip()
+    path = os.path.realpath(root)
+    top = git("rev-parse", "--show-toplevel")
+    if top and os.path.realpath(top) == path:
+        return git("rev-parse", "--short", "HEAD") or path
+    return path
 
 
 def main() -> None:

@@ -14,10 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterator, Sequence
 
 from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, letter_content,
                     occurrence_roles, set_sequences)
+
+_is_int = int.__instancecheck__  # isinstance(x, int) as a one-argument function for map
 
 
 @dataclass(frozen=True)
@@ -160,24 +163,18 @@ class AreaZeroDecoratedPath:
     columns: tuple
 
     def __post_init__(self):
-        cols = tuple((tuple(labels), bool(flag)) for labels, flag in self.columns)
+        cols = tuple([(tuple(labels), bool(flag)) for labels, flag in self.columns])
         object.__setattr__(self, "columns", cols)
-        for c, (labels, flag) in enumerate(cols, start=1):
-            if not labels:
-                raise ValueError("empty column %d" % c)
-            if any(x < 1 for x in labels):
-                raise ValueError("labels must be positive integers")
-            if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-                raise ValueError("column %d labels must strictly increase" % c)
+        # one C-level test per column; _reject_columns names the first fault
+        for labels, _ in cols:
+            if not (labels and all(map(_is_int, labels)) and labels[0] >= 1
+                    and all(map(lt, labels, labels[1:]))):
+                _reject_columns(cols)
         if cols and cols[0][1]:
             raise ValueError("the first column cannot be a decorated valley")
-        for c in range(1, len(cols)):
-            labels, flag = cols[c]
-            if flag:
-                prev = cols[c - 1][0]
-                if len(prev) < 2 and prev[-1] >= labels[0]:
-                    raise ValueError("decorated valley at column %d is not contractible"
-                                     % (c + 1))
+        for c, ((prev, _), (labels, flag)) in enumerate(zip(cols, cols[1:]), start=2):
+            if flag and len(prev) < 2 and prev[-1] >= labels[0]:
+                raise ValueError("decorated valley at column %d is not contractible" % c)
 
     @property
     def n(self) -> int:
@@ -224,6 +221,17 @@ class AreaZeroDecoratedPath:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _reject_columns(cols: tuple) -> None:
+    """Raise the ValueError naming the first faulty column of cols."""
+    for c, (labels, _) in enumerate(cols, start=1):
+        if not labels:
+            raise ValueError("empty column %d" % c)
+        if any(not isinstance(x, int) or x < 1 for x in labels):
+            raise ValueError("labels must be positive integers")
+        if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
+            raise ValueError("column %d labels must strictly increase" % c)
 
 
 EMPTY_PATH = AreaZeroDecoratedPath(())

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 from .qengine import QPolynomial
-from .stats import sminv_count
+from .stats import _block_starts, sminv_count
 from .words import (FALL, VALLEY, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
                     occurrence_roles, words_of_length)
 
@@ -23,13 +23,12 @@ def thick_positions(w: SegmentedSmirnovWord) -> frozenset:
 def standardize(w: SegmentedSmirnovWord) -> SegmentedSmirnovWord:
     """Relabel by the reading order: for each value, thin occurrences right to
     left, then thick occurrences left to right; smaller values read first."""
-    thick = thick_positions(w)
-    order = sorted(
-        range(1, w.n + 1),
-        key=lambda i: (w.letters[i - 1], i in thick, i if i in thick else -i))
+    # one key per position i, in reading order, i last; FALL and VALLEY are thick
+    keys = [(m, True, i, i) if code >= FALL else (m, False, -i, i)
+            for i, (m, code) in enumerate(zip(w.letters, occurrence_roles(w)))]
     sigma = [0] * w.n
-    for rank, i in enumerate(order, start=1):
-        sigma[i - 1] = rank
+    for rank, (_, _, _, i) in enumerate(sorted(keys), start=1):
+        sigma[i] = rank
     return SegmentedSmirnovWord(tuple(sigma), w.shape)
 
 
@@ -41,14 +40,16 @@ def split_set(sigma: SegmentedSmirnovWord) -> frozenset:
     n = sigma.n
     if sorted(letters) != list(range(1, n + 1)):
         raise ValueError("split_set requires a segmented permutation")
-    thick = thick_positions(sigma)
-    final = sigma.final_positions
-    pos = {v: i for i, v in enumerate(letters, start=1)}
+    codes = occurrence_roles(sigma)
+    starts = _block_starts(sigma)
+    pos = [0] * (n + 1)  # pos[v]: the 0-based position of v
+    for i, v in enumerate(letters):
+        pos[v] = i
     out = set()
     for v in range(1, n):
         i, j = pos[v], pos[v + 1]
-        i_thick, j_thick = i in thick, j in thick
-        if abs(i - j) == 1 and min(i, j) not in final:  # adjacent in one block
+        i_thick, j_thick = codes[i] >= FALL, codes[j] >= FALL
+        if abs(i - j) == 1 and not starts[max(i, j)]:  # adjacent in one block
             out.add(v)
         elif i_thick and not j_thick:
             out.add(v)

@@ -93,8 +93,8 @@ class SegmentedSmirnovWord:
                          and self.letters[i] < self.letters[i - 1])
 
     def text(self) -> str:
-        sep = "" if all(letter <= 9 for letter in self.letters) else ","
-        return "|".join(sep.join(str(letter) for letter in block) for block in self.blocks)
+        sep = "" if max(self.letters, default=0) <= 9 else ","
+        return "|".join([sep.join(map(str, block)) for block in self.blocks])
 
     def to_json(self) -> dict:
         return {"letters": list(self.letters), "shape": list(self.shape)}
@@ -140,15 +140,15 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty block at block index %d" % block_no)
-        if "," in chunk:
-            tokens = [t.strip() for t in chunk.split(",")]
+        if chunk.isascii() and chunk.isdigit() and "0" not in chunk:  # letters 1..9
+            block = list(map(int, chunk))
         else:
-            tokens = list(chunk)
-        block = []
-        for tok in tokens:
-            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
-                raise ValueError("bad letter %r in block %d" % (tok, block_no))
-            block.append(int(tok))
+            tokens = [t.strip() for t in chunk.split(",")] if "," in chunk else list(chunk)
+            block = []
+            for tok in tokens:
+                if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+                    raise ValueError("bad letter %r in block %d" % (tok, block_no))
+                block.append(int(tok))
         letters.extend(block)
         shape.append(len(block))
     return SegmentedSmirnovWord(tuple(letters), tuple(shape))
@@ -180,10 +180,21 @@ _ROLE_NAMES = ("peak", "double_rise", "double_fall", "valley")  # by role code
 
 
 def classify(w: SegmentedSmirnovWord) -> PositionProfile:
-    """Roles named from occurrence_roles; ascents/descents per block."""
+    """Roles named from occurrence_roles; block ends, ascents and descents in
+    one pass over the blocks."""
+    letters = w.letters
+    initial, final, ascents, descents = [], [], [], []
+    pos = 0
+    for part in w.shape:
+        initial.append(pos + 1)
+        end = pos + part
+        for i in range(pos + 1, end):  # equal letters never touch in a block
+            (ascents if letters[i] > letters[i - 1] else descents).append(i)
+        final.append(end)
+        pos = end
     return PositionProfile(tuple(map(_ROLE_NAMES.__getitem__, occurrence_roles(w))),
-                           w.initial_positions, w.final_positions,
-                           w.ascent_positions(), w.descent_positions())
+                           frozenset(initial), frozenset(final),
+                           frozenset(ascents), frozenset(descents))
 
 
 def _depth_first(root, children) -> Iterator:
@@ -317,7 +328,7 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
     rises/falls: indices (1-based) of the blocks *after joining* receiving a
     final/initial m.  gaps: singleton-block counts per gap 0..#joined-blocks.
     """
-    if any(letter > m for letter in w.letters):
+    if max(w.letters, default=m) > m:
         raise ValueError("m=%d is smaller than a letter of the word" % m)
     if m < 1:
         raise ValueError("m must be a positive letter")
@@ -420,4 +431,4 @@ def extract_maximal(w: SegmentedSmirnovWord) -> tuple:
 
 def _from_blocks(blocks: Sequence[Sequence[int]]) -> SegmentedSmirnovWord:
     return SegmentedSmirnovWord(tuple(itertools.chain.from_iterable(blocks)),
-                                tuple(len(blk) for blk in blocks))
+                                tuple(map(len, blocks)))

@@ -107,6 +107,34 @@ class TestBlockForm:
         # smaller previous top label makes the valley contractible
         AreaZeroDecoratedPath((((1,), False), ((2,), True)))
 
+    @pytest.mark.parametrize("columns,message", [
+        ((((), False),), "empty column 1"),
+        ((((1,), False), ((), False)), "empty column 2"),
+        ((((0,), False),), "labels must be positive integers"),
+        ((((2, 3), False), ((1, -1), False)), "labels must be positive integers"),
+        ((((1, 1.5), False),), "labels must be positive integers"),
+        ((((1,), False), (("a",), False)), "labels must be positive integers"),
+        ((((1, 1), False),), "column 1 labels must strictly increase"),
+        ((((1,), False), ((3, 2), False)), "column 2 labels must strictly increase"),
+        ((((1,), True),), "the first column cannot be a decorated valley"),
+        ((((2,), False), ((1,), True)), "decorated valley at column 2 is not contractible"),
+        ((((2,), False), ((2,), True)), "decorated valley at column 2 is not contractible"),
+        ((((1,), False), ((2,), False), ((2,), True)),
+         "decorated valley at column 3 is not contractible"),
+        # the first fault is named: every column is checked before any flag,
+        # positivity before order within a column
+        ((((1,), True), ((), False)), "empty column 2"),
+        ((((2, 0), False),), "labels must be positive integers"),
+        ((((3, 2), False), ((0,), False)), "column 1 labels must strictly increase"),
+        ((((2,), False), ((1,), True), ((3, 3), False)), "column 3 labels must strictly increase"),
+        ((((1,), True), ((2,), False), ((2,), True)),
+         "the first column cannot be a decorated valley"),
+    ])
+    def test_validation_messages(self, columns, message):
+        with pytest.raises(ValueError) as exc:
+            AreaZeroDecoratedPath(columns)
+        assert str(exc.value) == message
+
     def test_step_form_round_trip_area_zero(self):
         D = phi(parse_word("34|1|24|124"))
         S = D.to_steps()

@@ -73,3 +73,22 @@ def test_bench_pairs_check_runs_names_wrong_runs_and_differing_tallies():
     assert wrong == ["seed 0 pair 2: the change run reports correct=false"]
     assert differ == ["seed 1: attempted/failed differ, parent attempted=8000 failed=730, "
                       "change attempted=8000 failed=697"]
+
+
+def test_bench_pairs_git_head_is_the_commit_of_a_checkout_only(tmp_path):
+    git_head = _bench_pairs().git_head
+    checkout, plain = tmp_path / "checkout", tmp_path / "plain"
+    inner = checkout / "copy"
+    inner.mkdir(parents=True)
+    plain.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "one")
+    assert git_head(str(checkout)) == git("rev-parse", "--short", "HEAD")
+    # a copy inside another checkout, and a directory outside any, name themselves
+    assert git_head(str(inner)) == os.path.realpath(inner)
+    assert git_head(str(plain)) == os.path.realpath(plain)

@@ -11,7 +11,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import smirnov
@@ -35,6 +35,39 @@ def words(draw, n_max=8, alphabet=4):
             return SegmentedSmirnovWord(letters, shape)
         except ValueError:
             n = draw(st.integers(min_value=1, max_value=n_max))
+
+
+def _parse_word_reference(text):
+    """parse_word with every chunk read token by token."""
+    if text == "":
+        raise ValueError("empty word text (construct the empty word directly)")
+    letters, shape = [], []
+    for block_no, chunk in enumerate(text.split("|"), start=1):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError("empty block at block index %d" % block_no)
+        tokens = [t.strip() for t in chunk.split(",")] if "," in chunk else list(chunk)
+        block = []
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+                raise ValueError("bad letter %r in block %d" % (tok, block_no))
+            block.append(int(tok))
+        letters.extend(block)
+        shape.append(len(block))
+    return SegmentedSmirnovWord(tuple(letters), tuple(shape))
+
+
+def _text_reference(w):
+    """text() with commas exactly when some letter exceeds 9."""
+    sep = "" if all(letter <= 9 for letter in w.letters) else ","
+    return "|".join(sep.join(str(letter) for letter in block) for block in w.blocks)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
 
 
 class TestConstruction:
@@ -68,6 +101,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SegmentedSmirnovWord((1,), (0, 1))
 
+    @pytest.mark.parametrize("letters,shape,message", [
+        ((1,), (0, 1), "shape parts must be positive integers, got 0"),
+        ((1,), (1.0,), "shape parts must be positive integers, got 1.0"),
+        ((1, 2), (3,), "shape (3,) does not sum to letter count 2"),
+        ((0, 1), (2,), "letter at index 1 must be a positive integer, got 0"),
+        ((1, "2"), (2,), "letter at index 2 must be a positive integer, got '2'"),
+        ((1, 1, 2), (3,),
+         "Smirnov violation: equal adjacent letters at in-block index 1 (word index 1)"),
+        ((1, 2, 3, 3), (2, 2),
+         "Smirnov violation: equal adjacent letters at in-block index 1 (word index 3)"),
+        # the first fault is named: shape parts, then the sum, then each
+        # letter, then the Smirnov condition
+        ((1, 1), (0, 2), "shape parts must be positive integers, got 0"),
+        ((1,), (2, -1), "shape parts must be positive integers, got -1"),
+        ((0, 0), (1,), "shape (1,) does not sum to letter count 2"),
+        ((1, 1, 0), (3,), "letter at index 3 must be a positive integer, got 0"),
+    ])
+    def test_validation_messages(self, letters, shape, message):
+        with pytest.raises(ValueError) as exc:
+            SegmentedSmirnovWord(letters, shape)
+        assert str(exc.value) == message
+
     def test_empty_word(self):
         assert EMPTY_WORD.n == 0
         assert EMPTY_WORD.content() == ()
@@ -91,6 +146,18 @@ class TestConstruction:
         # str.isdigit() also accepts Arabic-Indic digits and superscripts
         with pytest.raises(ValueError, match="bad letter %r in block 1" % letter):
             parse_word(text)
+
+    @given(st.text(alphabet="0123456789|, \u00b2\u0663a", max_size=14))
+    @example("10")
+    @example("2|30,1")
+    @settings(max_examples=300, deadline=None)
+    def test_parse_word_matches_the_token_loop(self, text):
+        assert _outcome(parse_word, text) == _outcome(_parse_word_reference, text)
+
+    @given(words(n_max=16, alphabet=12))
+    @settings(max_examples=150, deadline=None)
+    def test_text_matches_its_definition(self, w):
+        assert w.text() == _text_reference(w)
 
     def test_json_round_trip(self):
         w = parse_word("231|3212|12")
