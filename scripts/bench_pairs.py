@@ -5,9 +5,11 @@ Each side runs its own bench/run.py, from its own directory, one process at a
 time: the parent first in odd pairs, the change first in even pairs.  The
 end-to-end metrics of every run go to BENCH_<label>.json in the current
 directory, per seed and pooled over the seeds: the median, quartiles and runs
-of each side, the change against the parent's median, and the pairs in which
-the change read lower.  A file that already exists keeps its other workloads
-and its hand-written "change", "claim" and "notes".
+of each side, the change against the parent's median, the pairs in which the
+change read lower, and whether the difference is resolved: the medians differ
+by more than the spread q3 - q1 of the parent's own runs.  A file that
+already exists keeps its other workloads and its hand-written "change",
+"claim" and "notes".
 
 The record is written in any case.  The script then names on stderr each seed
 whose parent and change runs tally different attempted/failed counts, and
@@ -63,6 +65,8 @@ def summary(pairs: list, bounds: dict) -> dict:
                                           - 1, 4) if entry["parent"]["median"] else None
         entry["pairs_change_lower"] = "%d/%d" % (sum(c < p for p, c in zip(parent, change)),
                                                  len(pairs))
+        entry["resolved"] = (abs(entry["change"]["median"] - entry["parent"]["median"])
+                             > entry["parent"]["q3"] - entry["parent"]["q1"])
         metrics[name] = entry
     return {"pairs": len(pairs), "tallies": tallies, "metrics": metrics}
 

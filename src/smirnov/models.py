@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence
 
-from .words import SegmentedSmirnovWord, _depth_first
+from .words import SegmentedSmirnovWord, _depth_first, letter_content
 
 
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
@@ -32,10 +32,7 @@ def chromatic_path_enumerator(n: int, content_bound: int) -> Dict[int, Counter]:
     out: Dict[int, Counter] = {}
     for letters in single_block_words(n, content_bound):
         descents = sum(1 for i in range(n - 1) if letters[i] > letters[i + 1])
-        exps = [0] * content_bound
-        for x in letters:
-            exps[x - 1] += 1
-        out.setdefault(descents, Counter())[tuple(exps)] += 1
+        out.setdefault(descents, Counter())[letter_content(letters, content_bound)] += 1
     return out
 
 
@@ -51,7 +48,11 @@ class LabelledPolyomino:
     labels: tuple  # sorted ((col, row, value), ...)
 
     def __post_init__(self):
-        labels = tuple(sorted(tuple(cell) for cell in self.labels))
+        labels = tuple(map(tuple, self.labels))
+        # the values are checked before the sort compares them
+        if not all(type(cell[2]) is int and cell[2] >= 1 for cell in labels):
+            raise ValueError("labels must be positive integers")
+        labels = tuple(sorted(labels))
         object.__setattr__(self, "labels", labels)
         up, lo = self.upper, self.lower
         if set(up) - {"N", "E"} or set(lo) - {"N", "E"}:
@@ -66,8 +67,6 @@ class LabelledPolyomino:
             raise ValueError("upper path must stay above the lower path")
         by_cell = {cell[:2]: cell[2] for cell in labels}
         for (col, row), value in by_cell.items():
-            if value < 1:
-                raise ValueError("labels must be positive integers")
             if (col, row + 1) in by_cell and by_cell[(col, row + 1)] <= value:
                 raise ValueError("column %d labels must increase bottom to top" % col)
             if (col + 1, row) in by_cell and by_cell[(col + 1, row)] >= value:

@@ -20,8 +20,6 @@ from typing import Iterator, Sequence
 from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, letter_content,
                     occurrence_roles, set_sequences)
 
-_is_int = int.__instancecheck__  # isinstance(x, int) as a one-argument function for map
-
 
 @dataclass(frozen=True)
 class DecoratedLabelledDyckPath:
@@ -45,6 +43,8 @@ class DecoratedLabelledDyckPath:
             raise ValueError("path must have equally many N and E steps")
         if len(self.labels) != n:
             raise ValueError("expected %d labels" % n)
+        if not all(type(x) is int and x >= 1 for x in self.labels):
+            raise ValueError("labels must be positive integers")
         x = y = 0
         for s in steps:
             if s == "N":
@@ -165,11 +165,13 @@ class AreaZeroDecoratedPath:
     def __post_init__(self):
         cols = tuple([(tuple(labels), bool(flag)) for labels, flag in self.columns])
         object.__setattr__(self, "columns", cols)
-        # one C-level test per column; _reject_columns names the first fault
-        for labels, _ in cols:
-            if not (labels and all(map(_is_int, labels)) and labels[0] >= 1
-                    and all(map(lt, labels, labels[1:]))):
-                _reject_columns(cols)
+        for c, (labels, _) in enumerate(cols, start=1):
+            if not labels:
+                raise ValueError("empty column %d" % c)
+            if not all(type(x) is int for x in labels) or min(labels) < 1:
+                raise ValueError("labels must be positive integers")
+            if not all(map(lt, labels, labels[1:])):
+                raise ValueError("column %d labels must strictly increase" % c)
         if cols and cols[0][1]:
             raise ValueError("the first column cannot be a decorated valley")
         for c, ((prev, _), (labels, flag)) in enumerate(zip(cols, cols[1:]), start=2):
@@ -221,17 +223,6 @@ class AreaZeroDecoratedPath:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def _reject_columns(cols: tuple) -> None:
-    """Raise the ValueError naming the first faulty column of cols."""
-    for c, (labels, _) in enumerate(cols, start=1):
-        if not labels:
-            raise ValueError("empty column %d" % c)
-        if any(not isinstance(x, int) or x < 1 for x in labels):
-            raise ValueError("labels must be positive integers")
-        if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-            raise ValueError("column %d labels must strictly increase" % c)
 
 
 EMPTY_PATH = AreaZeroDecoratedPath(())

@@ -564,14 +564,19 @@ def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") ->
     return dist.get((k, l), _ZERO)
 
 
-def stat_distributions(words: Iterable, *stat_fns) -> list:
-    """For each statistic, the map (k, l) -> QPolynomial of q^stat over the
-    words with k ascents and l descents; one pass over the words serves them all."""
+def _ascents_descents(w) -> tuple:
+    """(k, l): the ascent and descent counts of a word."""
+    return len(w.ascent_positions()), len(w.descent_positions())
+
+
+def stat_distributions(words: Iterable, *stat_fns, key=_ascents_descents) -> list:
+    """For each statistic, the map key(w) -> QPolynomial of q^stat over the
+    words w; one pass over the words serves them all."""
     buckets = [{} for _ in stat_fns]
     for w in words:
-        key = (len(w.ascent_positions()), len(w.descent_positions()))
+        group = key(w)
         for bucket, stat_fn in zip(buckets, stat_fns):
-            bucket.setdefault(key, collections.Counter())[stat_fn(w)] += 1
+            bucket.setdefault(group, collections.Counter())[stat_fn(w)] += 1
     return [{key: histogram_poly(counts) for key, counts in bucket.items()}
             for bucket in buckets]
 

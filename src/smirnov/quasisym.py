@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from .qengine import QPolynomial
+from .qengine import QPolynomial, stat_distributions
 from .stats import _block_starts, sminv_count
 from .words import (FALL, VALLEY, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
                     occurrence_roles, words_of_length)
@@ -103,14 +103,12 @@ class FundamentalTerm:
 
 
 def fundamental_expansion(n: int, k: int, l: int) -> List[FundamentalTerm]:
-    """Group q^sminv over segmented permutations with k ascents, l descents by split set."""
+    """Group q^sminv over segmented permutations with k ascents, l descents by
+    the composition of their split set."""
     if n > 0 and k + l >= n:
         raise ValueError("fundamental_expansion requires k+l < n")
-    groups: Dict[tuple, QPolynomial] = {}
-    for sigma in enumerate_words_by_stat((1,) * n, k, l):
-        comp = composition_from_split(split_set(sigma), n)
-        poly = QPolynomial.q_power(sminv_count(sigma))
-        groups[comp] = groups.get(comp, QPolynomial.zero()) + poly
+    [groups] = stat_distributions(enumerate_words_by_stat((1,) * n, k, l), sminv_count,
+                                  key=lambda sigma: composition_from_split(split_set(sigma), n))
     return [FundamentalTerm(comp, coeff) for comp, coeff in sorted(groups.items())]
 
 
@@ -120,10 +118,7 @@ def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
     split = frozenset(split)
     for seq in itertools.combinations_with_replacement(range(1, bound + 1), n):
         if all(seq[s] > seq[s - 1] for s in split):
-            exps = [0] * bound
-            for x in seq:
-                exps[x - 1] += 1
-            yield tuple(exps)
+            yield letter_content(seq, bound)
 
 
 def expand_to_monomials(terms: Sequence[FundamentalTerm],
@@ -139,12 +134,9 @@ def expand_to_monomials(terms: Sequence[FundamentalTerm],
 
 def direct_monomial_sum(n: int, k: int, l: int, bound: int) -> Dict[tuple, QPolynomial]:
     """Sum of q^sminv(w) x^w over all words with n letters <= bound, k ascents,
-    l descents; computed by direct enumeration, independent of the expansion."""
-    out: Dict[tuple, QPolynomial] = {}
-    for w in words_of_length(n, bound):
-        if len(w.ascent_positions()) != k or len(w.descent_positions()) != l:
-            continue
-        content = letter_content(w.letters)
-        key = content + (0,) * (bound - len(content))
-        out[key] = out.get(key, QPolynomial.zero()) + QPolynomial.q_power(sminv_count(w))
-    return {e: p for e, p in out.items() if p}
+    l descents, keyed by exponent vector; computed by direct enumeration,
+    independent of the expansion."""
+    words = (w for w in words_of_length(n, bound)
+             if len(w.ascent_positions()) == k and len(w.descent_positions()) == l)
+    [out] = stat_distributions(words, sminv_count, key=lambda w: letter_content(w.letters, bound))
+    return out

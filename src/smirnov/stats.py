@@ -247,13 +247,13 @@ class OrderedMultisetPartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        for blk in blocks:
+        blocks = tuple(map(tuple, self.blocks))
+        for blk in blocks:  # before the sort, which would compare the elements
             if not blk:
                 raise ValueError("empty block in ordered multiset partition")
-            if any(x < 1 for x in blk):
+            if not all(type(x) is int and x >= 1 for x in blk):
                 raise ValueError("block elements must be positive integers")
+        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in blocks))
 
     @property
     def r(self) -> int:

@@ -273,17 +273,29 @@ def _random_word(rng: random.Random, n_max: int) -> SegmentedSmirnovWord:
     return SegmentedSmirnovWord(letters, rng.choice(list(shapes_for(letters))))
 
 
-# each insertion kind: its insert_many keyword and its sites in a word of B
-# blocks; the s singletons go to a multiset of gaps, the others to a set of sites
-_INSERTION_SITES = {"peak": ("peaks", lambda B: range(1, B)),
-                    "double_fall": ("falls", lambda B: range(1, B + 1)),
-                    "double_rise": ("rises", lambda B: range(1, B + 1)),
-                    "singleton": ("gaps", lambda B: range(B + 1))}
+def _spread_binomial(B: int, s: int) -> QPolynomial:
+    """q^(s(s-1)/2) [B choose s]_q: s rises, or s falls, put on distinct blocks of B."""
+    return q_binomial(B, s).times_q_power(s * (s - 1) // 2)
+
+
+# each insertion kind: its insert_many keyword, its sites in a word of B
+# blocks, the closed form in (B, s) of its enumerator over s insertions, and
+# (but for peaks) whether a block already holds an m where this kind puts one;
+# the s singletons go to a multiset of gaps, the others to a set of sites
+_INSERTION_SITES = {
+    "peak": ("peaks", lambda B: range(1, B), lambda B, s: q_binomial(B - 1, s), None),
+    "double_fall": ("falls", lambda B: range(1, B + 1), _spread_binomial,
+                    lambda blk, m: blk[0] == m),
+    "double_rise": ("rises", lambda B: range(1, B + 1), _spread_binomial,
+                    lambda blk, m: blk[-1] == m),
+    "singleton": ("gaps", lambda B: range(B + 1), lambda B, s: q_binomial(B + s, s),
+                  lambda blk, m: blk == (m,)),
+}
 
 
 def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
     """The sum of q^stat over the ways to insert s letters m of one kind into w."""
-    arg, sites_in = _INSERTION_SITES[kind]
+    arg, sites_in, _, _ = _INSERTION_SITES[kind]
     sites = sites_in(len(w.shape))
     if arg == "gaps":  # insert_many takes a count per gap
         images = (insert_many(w, m, gaps=[placement.count(g) for g in sites])
@@ -294,31 +306,20 @@ def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
     return histogram_poly(Counter(map(stat_fn, images)))
 
 
-def _expected_enumerator(kind: str, B: int, s: int) -> QPolynomial:
-    if kind == "peak":
-        return q_binomial(B - 1, s)
-    if kind in ("double_fall", "double_rise"):
-        return q_binomial(B, s).times_q_power(s * (s - 1) // 2)
-    return q_binomial(B + s, s)
-
-
 def _case_insertion(args: tuple) -> str:
     kind, batch, count, seed, n_max = args
+    _, sites_in, closed_form, holds_m = _INSERTION_SITES[kind]
     rng = random.Random("%d:%s:%d" % (seed, kind, batch))
     for _ in range(count):
         w = _random_word(rng, n_max)
         mx = max(w.letters)
         m = mx + 1
-        if kind != "peak" and rng.random() < 0.5:
-            if kind == "double_fall" and all(b[0] != mx for b in w.blocks):
-                m = mx
-            elif kind == "double_rise" and all(b[-1] != mx for b in w.blocks):
-                m = mx
-            elif kind == "singleton" and all(b != (mx,) for b in w.blocks):
-                m = mx
+        # half the time a non-peak kind inserts the word's own maximum, where it may
+        if holds_m and rng.random() < 0.5 and not any(holds_m(b, mx) for b in w.blocks):
+            m = mx
         B = len(w.shape)
-        s = rng.randint(0, min(len(_INSERTION_SITES[kind][1](B)), 4))
-        expected_shape = _expected_enumerator(kind, B, s)
+        s = rng.randint(0, min(len(sites_in(B)), 4))
+        expected_shape = closed_form(B, s)
         for stat_fn, name in ((sminv_count, "sminv"), (sdinv_count, "sdinv")):
             got = _insertion_enumerator(w, m, kind, s, stat_fn)
             expected = expected_shape.times_q_power(stat_fn(w))

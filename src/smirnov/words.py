@@ -31,12 +31,12 @@ class SegmentedSmirnovWord:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "shape", shape)
         for part in shape:
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int or part < 1:
                 raise ValueError("shape parts must be positive integers, got %r" % (part,))
         if sum(shape) != len(letters):
             raise ValueError("shape %r does not sum to letter count %d" % (shape, len(letters)))
         for pos, letter in enumerate(letters, start=1):
-            if not isinstance(letter, int) or letter < 1:
+            if type(letter) is not int or letter < 1:
                 raise ValueError("letter at index %d must be a positive integer, got %r"
                                  % (pos, letter))
         pos = 0
@@ -110,9 +110,10 @@ class SegmentedSmirnovWord:
 EMPTY_WORD = SegmentedSmirnovWord((), ())
 
 
-def letter_content(letters: Sequence[int]) -> tuple:
-    """Weak composition: entry i-1 is the multiplicity of letter i; trailing zeros trimmed."""
-    mu = [0] * max(letters, default=0)
+def letter_content(letters: Sequence[int], bound: int = None) -> tuple:
+    """Weak composition: entry i-1 is the multiplicity of letter i, over the
+    letters 1..bound when a bound is given, else with trailing zeros trimmed."""
+    mu = [0] * (max(letters, default=0) if bound is None else bound)
     for letter in letters:
         mu[letter - 1] += 1
     return tuple(mu)
@@ -140,15 +141,12 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty block at block index %d" % block_no)
-        if chunk.isascii() and chunk.isdigit() and "0" not in chunk:  # letters 1..9
-            block = list(map(int, chunk))
-        else:
-            tokens = [t.strip() for t in chunk.split(",")] if "," in chunk else list(chunk)
-            block = []
-            for tok in tokens:
-                if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
-                    raise ValueError("bad letter %r in block %d" % (tok, block_no))
-                block.append(int(tok))
+        block = []
+        # a comma-free chunk is read one character at a time
+        for tok in [t.strip() for t in chunk.split(",")] if "," in chunk else chunk:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+                raise ValueError("bad letter %r in block %d" % (tok, block_no))
+            block.append(int(tok))
         letters.extend(block)
         shape.append(len(block))
     return SegmentedSmirnovWord(tuple(letters), tuple(shape))
@@ -328,9 +326,9 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
     rises/falls: indices (1-based) of the blocks *after joining* receiving a
     final/initial m.  gaps: singleton-block counts per gap 0..#joined-blocks.
     """
-    if max(w.letters, default=m) > m:
+    if type(m) is int and max(w.letters, default=m) > m:
         raise ValueError("m=%d is smaller than a letter of the word" % m)
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError("m must be a positive letter")
     blocks = [list(b) for b in w.blocks]
     s = len(blocks)

@@ -274,6 +274,11 @@ class TestPolyominoRejection:
         with pytest.raises(ValueError, match="cover exactly"):
             LabelledPolyomino("NE", "EN", ((0, 0, 1), (0, 1, 1)))
 
+    @pytest.mark.parametrize("value", [0, 1.5, "a", True])
+    def test_labels_must_be_positive_integers(self, value):
+        with pytest.raises(ValueError, match="^labels must be positive integers$"):
+            LabelledPolyomino("NE", "EN", ((0, 0, value),))
+
     def test_column_labels_not_increasing(self):
         LabelledPolyomino("NNE", "ENN", ((0, 0, 1), (0, 1, 2)))
         with pytest.raises(ValueError, match="column 0 labels must increase"):

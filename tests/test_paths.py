@@ -73,6 +73,11 @@ class TestStepForm:
         # a smaller previous top label makes the valley contractible
         DecoratedLabelledDyckPath("NENE", (1, 2), frozenset(), frozenset({2}))
 
+    @pytest.mark.parametrize("label", [0, -1, 1.5, "a", True])
+    def test_labels_must_be_positive_integers(self, label):
+        with pytest.raises(ValueError, match="^labels must be positive integers$"):
+            DecoratedLabelledDyckPath("NE", (label,), (), ())
+
     def test_ascii_grid_smoke(self):
         grid = GENERAL.ascii_grid()
         assert isinstance(grid, str) and grid.count("\n") == 7
@@ -129,6 +134,8 @@ class TestBlockForm:
         ((((2,), False), ((1,), True), ((3, 3), False)), "column 3 labels must strictly increase"),
         ((((1,), True), ((2,), False), ((2,), True)),
          "the first column cannot be a decorated valley"),
+        # bool is a subclass of int, but not a label
+        ((((True, 2), False),), "labels must be positive integers"),
     ])
     def test_validation_messages(self, columns, message):
         with pytest.raises(ValueError) as exc:

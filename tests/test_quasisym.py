@@ -1,15 +1,18 @@
 """Unit tests for standardization, split sets, and the fundamental
 quasisymmetric expansion of the standard-word enumerator."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
-from smirnov.qengine import QPolynomial, standard_q_count
+from smirnov.qengine import QPolynomial, cells, standard_q_count
 from smirnov.quasisym import (FundamentalTerm, composition_from_split,
                               direct_monomial_sum, expand_to_monomials,
                               fiber_condition, fundamental_expansion, split_set,
                               standardize, thick_positions)
-from smirnov.words import enumerate_words, parse_word
+from smirnov.stats import sminv_count
+from smirnov.words import enumerate_words, parse_word, words_of_length
 
 from test_words import words
 
@@ -103,6 +106,49 @@ class TestExpansion:
     def test_rejects_too_many_marks(self):
         with pytest.raises(ValueError):
             fundamental_expansion(3, 2, 1)
+
+
+def _histogram(poly):
+    """The Counter {v: c} of the terms c q^v of a QPolynomial."""
+    return Counter({v: c for v, c in enumerate(poly.coeffs) if c})
+
+
+def _per_word_sums(words, k, l, key):
+    """The sminv histogram of each key(w) over the words with k ascents and l
+    descents, tallied one word at a time."""
+    sums = {}
+    for w in words:
+        if len(w.ascent_positions()) == k and len(w.descent_positions()) == l:
+            sums.setdefault(key(w), Counter())[sminv_count(w)] += 1
+    return sums
+
+
+class TestKeyedEnumerators:
+    """Both sides of the monomial check group q^sminv by a key; each is
+    compared here with a per-word tally that spells its key out."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_fundamental_expansion_groups_by_composition(self, n):
+        def composition(sigma):
+            cuts = sorted(split_set(sigma))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        sigmas = list(enumerate_words((1,) * n))
+        for k, l in cells(n):
+            expected = _per_word_sums(sigmas, k, l, composition)
+            got = {t.composition: _histogram(t.coefficient)
+                   for t in fundamental_expansion(n, k, l)}
+            assert got == expected, (k, l)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_direct_monomial_sum_groups_by_exponent_vector(self, n):
+        for bound in range(1, n + 1):
+            words = list(words_of_length(n, bound))
+            for k, l in cells(n):
+                expected = _per_word_sums(
+                    words, k, l,
+                    lambda w: tuple(w.letters.count(x) for x in range(1, bound + 1)))
+                got = {e: _histogram(p) for e, p in direct_monomial_sum(n, k, l, bound).items()}
+                assert got == expected, (bound, k, l)
 
 
 class TestThickPositions:

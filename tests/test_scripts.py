@@ -58,6 +58,27 @@ def _result(correct=True, attempted=8000, failed=730):
     return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {}}
 
 
+def test_bench_pairs_summary_resolves_a_difference_beyond_the_parent_spread():
+    def pair(parent, change):
+        return tuple(dict(_result(), metrics={"wall_s": {"value": v, "unit": "s"},
+                                              "setup_s": {"value": v / 10, "unit": "s"}})
+                     for v in (parent, change))
+    # parent runs 10..14: median 12, q1 11, q3 13, so a spread of 2
+    wall = [pair(p, c) for p, c in zip([10, 11, 12, 13, 14], [12.5, 13.5, 14.5, 15.5, 16.5])]
+    metrics = _bench_pairs().summary(wall, {"wall_s": 0.25})["metrics"]
+    assert metrics["wall_s"]["parent"] == {"median": 12, "q1": 11, "q3": 13,
+                                           "runs": [10, 11, 12, 13, 14]}
+    assert metrics["wall_s"]["resolved"] is True  # |14.5 - 12| > 2
+    assert metrics["setup_s"]["resolved"] is True  # |1.45 - 1.2| > 0.2
+    near = [pair(p, c) for p, c in zip([10, 11, 12, 13, 14], [13.5, 11, 14, 12, 10])]
+    metrics = _bench_pairs().summary(near, {})["metrics"]
+    assert metrics["wall_s"]["change"]["median"] == 12
+    assert metrics["wall_s"]["resolved"] is False  # equal medians
+    assert metrics["setup_s"]["bound"] is None and metrics["setup_s"]["resolved"] is False
+    edge = [pair(p, c) for p, c in zip([10, 11, 12, 13, 14], [14] * 5)]
+    assert _bench_pairs().summary(edge, {})["metrics"]["wall_s"]["resolved"] is False  # 2, not > 2
+
+
 def test_bench_pairs_check_runs_passes_equal_correct_runs():
     check_runs = _bench_pairs().check_runs
     pairs = [(_result(), _result()), (_result(), _result())]

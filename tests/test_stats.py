@@ -231,6 +231,11 @@ class TestOrderedMultisetPartitions:
         with pytest.raises(ValueError):
             omp_dinv(p)
 
+    @pytest.mark.parametrize("blocks", [((1.5,),), (("a", "b"),), ((1, True),)])
+    def test_elements_must_be_positive_integers(self, blocks):
+        with pytest.raises(ValueError, match="^block elements must be positive integers$"):
+            OrderedMultisetPartition(blocks)
+
     def test_inv_fixtures(self):
         assert omp_inv(OrderedMultisetPartition(((2,), (1,)))) == 1
         assert omp_inv(OrderedMultisetPartition(((1, 2, 3),))) == 0

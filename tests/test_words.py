@@ -18,8 +18,8 @@ import smirnov
 from smirnov.quasisym import thick_positions
 from smirnov.words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, classify,
                            enumerate_words, enumerate_words_by_stat, extract_maximal,
-                           insert_many, parse_word, partitions_of, set_sequences,
-                           words_of_length)
+                           insert_many, letter_content, parse_word, partitions_of,
+                           set_sequences, words_of_length)
 
 
 @st.composite
@@ -117,6 +117,9 @@ class TestConstruction:
         ((1,), (2, -1), "shape parts must be positive integers, got -1"),
         ((0, 0), (1,), "shape (1,) does not sum to letter count 2"),
         ((1, 1, 0), (3,), "letter at index 3 must be a positive integer, got 0"),
+        # bool is a subclass of int, but neither a letter nor a part
+        ((True, 2), (2,), "letter at index 1 must be a positive integer, got True"),
+        ((1, 2), (True, True), "shape parts must be positive integers, got True"),
     ])
     def test_validation_messages(self, letters, shape, message):
         with pytest.raises(ValueError) as exc:
@@ -242,6 +245,14 @@ class TestEnumeration:
         texts = sorted(w.text() for w in enumerate_words((2, 1)))
         assert texts == sorted(
             ["121", "1|12", "1|21", "12|1", "21|1", "1|1|2", "1|2|1", "2|1|1"])
+
+    def test_letter_content_over_a_bound(self):
+        assert letter_content((3, 1, 3)) == (1, 0, 2)
+        assert letter_content((3, 1, 3), 3) == (1, 0, 2)
+        assert letter_content((3, 1, 3), 5) == (1, 0, 2, 0, 0)
+        assert letter_content((), 2) == (0, 0)
+        for letters in itertools.product(range(1, 4), repeat=3):
+            assert letter_content(letters, max(letters)) == letter_content(letters)
 
     def test_trailing_zeros_trimmed(self):
         assert list(enumerate_words((2, 1, 0))) == list(enumerate_words((2, 1)))
@@ -435,6 +446,11 @@ class TestInsertion:
             insert_many(w, 3, peaks=(1,))
         with pytest.raises(ValueError):
             insert_many(w, 2, peaks=(1,))
+
+    @pytest.mark.parametrize("m", [True, 1.0, "a"])
+    def test_m_must_be_an_int(self, m):
+        with pytest.raises(ValueError, match="^m must be a positive letter$"):
+            insert_many(SegmentedSmirnovWord((1,), (1,)), m, gaps=[1, 0])
 
     def test_equal_max_rejected_when_adjacent(self):
         w = parse_word("41|13")
