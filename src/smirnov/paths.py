@@ -60,11 +60,11 @@ class DecoratedLabelledDyckPath:
                                  "(vertical steps %d, %d)" % (i, i + 1))
         rises = self.rise_set()
         for i in self.drise:
-            if i not in rises:
-                raise ValueError("decorated rise %d is not a rise" % i)
+            if type(i) is not int or i not in rises:
+                raise ValueError("decorated rise %r is not a rise" % (i,))
         for i in self.dvalley:
-            if not self.is_contractible_valley(i):
-                raise ValueError("decorated valley %d is not a contractible valley" % i)
+            if type(i) is not int or not self.is_contractible_valley(i):
+                raise ValueError("decorated valley %r is not a contractible valley" % (i,))
 
     @cached_property
     def vertical_positions(self) -> tuple:
@@ -100,24 +100,6 @@ class DecoratedLabelledDyckPath:
     def to_json(self) -> dict:
         return {"steps": self.steps, "labels": list(self.labels),
                 "drise": sorted(self.drise), "dvalley": sorted(self.dvalley)}
-
-    def ascii_grid(self) -> str:
-        """Rows top to bottom; each row shows the cells left of the path."""
-        n = self.n
-        lines = []
-        x = y = 0
-        row_x = {}
-        for s in self.steps:
-            if s == "N":
-                row_x[y] = x
-                y += 1
-            else:
-                x += 1
-        for i in range(n, 0, -1):
-            xi = row_x[i - 1]
-            deco = "*" if i in self.drise else ("o" if i in self.dvalley else " ")
-            lines.append("." * xi + "|" + deco + str(self.labels[i - 1]))
-        return "\n".join(lines)
 
 
 def area_word(D) -> tuple:

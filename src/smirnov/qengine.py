@@ -1,8 +1,8 @@
 """Exact q-polynomial arithmetic, q-binomials, and the memoized coefficient recursion.
 
 Every quantity in this package is a counting series, so QPolynomial only
-supports addition and multiplication; coefficients are arbitrary-precision
-nonnegative integers and subtraction is deliberately absent.
+supports addition and multiplication of two QPolynomials; coefficients are
+arbitrary-precision nonnegative integers and subtraction is deliberately absent.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class QPolynomial:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError("QPolynomial coefficients must be nonnegative, got %r" % (c,))
         while cs and cs[-1] == 0:
             cs.pop()
@@ -41,18 +41,6 @@ class QPolynomial:
     @classmethod
     def zero(cls) -> "QPolynomial":
         return _ZERO
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return _ONE
-
-    @classmethod
-    def q_power(cls, k: int) -> "QPolynomial":
-        return cls((0,) * k + (1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -73,9 +61,7 @@ class QPolynomial:
             a, b = b, a
         return _poly(tuple(map(operator.add, a, b)) + a[len(b):])
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPolynomial(c * other for c in self.coeffs)
+    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
@@ -84,8 +70,6 @@ class QPolynomial:
         # fits in a w-byte slot and no slot carries into the next one.
         w = _slot(max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length())
         return _unpack(_pack(a, w) * _pack(b, w), w)
-
-    __rmul__ = __mul__
 
     def times_q_power(self, k: int) -> "QPolynomial":
         if not self.coeffs or k <= 0:
@@ -114,13 +98,6 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return "QPolynomial(%r)" % (self.coeffs,)
-
-    def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QPolynomial":
-        return cls(int(c) for c in data["coeffs"])
 
 
 def _poly(coeffs: tuple) -> QPolynomial:
@@ -309,10 +286,13 @@ def _binom2(x: int) -> int:
 
 def _canonical_mu(mu: Sequence[int]) -> tuple:
     """Sorted-descending partition key with zero parts dropped."""
-    parts = sorted((p for p in mu if p != 0), reverse=True)
-    for p in parts:
-        if p < 0:
+    parts = []
+    for p in mu:
+        if type(p) is not int or p < 0:
             raise ValueError("content parts must be nonnegative, got %r" % (p,))
+        if p:
+            parts.append(p)
+    parts.sort(reverse=True)
     return tuple(parts)
 
 

@@ -9,15 +9,8 @@ from typing import Dict, Iterable, List, Sequence
 
 from .qengine import QPolynomial, stat_distributions
 from .stats import _block_starts, sminv_count
-from .words import (FALL, VALLEY, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
+from .words import (FALL, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
                     occurrence_roles, words_of_length)
-
-
-def thick_positions(w: SegmentedSmirnovWord) -> frozenset:
-    """1-based i whose letter has no smaller left neighbour in its block: the
-    falls and valleys of words.occurrence_roles."""
-    return frozenset(i for i, code in enumerate(occurrence_roles(w), start=1)
-                     if code == FALL or code == VALLEY)
 
 
 def standardize(w: SegmentedSmirnovWord) -> SegmentedSmirnovWord:

@@ -1,5 +1,5 @@
-"""The q-statistics sminv and sdinv, the height function, and the projection
-to ordered multiset partitions with the classical inv/dinv."""
+"""The q-statistics sminv and sdinv, and the projection to ordered multiset
+partitions with the classical inv/dinv."""
 
 from __future__ import annotations
 
@@ -109,25 +109,6 @@ def _sminv_tally(letters: Sequence[int], starts: list) -> list:
 def sminv_count(w: SegmentedSmirnovWord) -> int:
     """len(sminv(w).pairs), without building the tagged report."""
     return sum(_sminv_tally(w.letters, _block_starts(w)))
-
-
-def height_array(w: SegmentedSmirnovWord, m: int) -> tuple:
-    """height_m at every position: letters < m since the nearest left barrier
-    (block start or a letter > m)."""
-    letters = w.letters
-    initial = w.initial_positions
-    heights = []
-    run = 0
-    for i in range(1, w.n + 1):
-        if i in initial or letters[i - 2] > m:
-            run = 0
-        heights.append(run)
-        if letters[i - 1] < m:
-            run += 1
-        elif letters[i - 1] > m:
-            run = 0
-        # letters equal to m neither count nor reset
-    return tuple(heights)
 
 
 def sdinv(w: SegmentedSmirnovWord) -> InversionReport:

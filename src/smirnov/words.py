@@ -62,15 +62,6 @@ class SegmentedSmirnovWord:
         return tuple(out)
 
     @cached_property
-    def initial_positions(self) -> frozenset:
-        """1-based positions that start a block."""
-        out, pos = [], 1
-        for part in self.shape:
-            out.append(pos)
-            pos += part
-        return frozenset(out)
-
-    @cached_property
     def final_positions(self) -> frozenset:
         out, pos = [], 0
         for part in self.shape:
@@ -98,10 +89,6 @@ class SegmentedSmirnovWord:
 
     def to_json(self) -> dict:
         return {"letters": list(self.letters), "shape": list(self.shape)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SegmentedSmirnovWord":
-        return cls(tuple(data["letters"]), tuple(data["shape"]))
 
     def __str__(self) -> str:
         return self.text()
@@ -228,11 +215,11 @@ def partitions_of(n: int) -> Iterator[tuple]:
 
 def _trim(mu: Sequence[int]) -> tuple:
     mu = list(mu)
+    for part in mu:
+        if type(part) is not int or part < 0:
+            raise ValueError("content parts must be nonnegative")
     while mu and mu[-1] == 0:
         mu.pop()
-    for part in mu:
-        if part < 0:
-            raise ValueError("content parts must be nonnegative")
     return tuple(mu)
 
 

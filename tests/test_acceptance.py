@@ -16,10 +16,12 @@ from smirnov import verify
 from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv
 from smirnov.qengine import QPolynomial, enumerative_q_sum
 from smirnov.quasisym import split_set, standardize
-from smirnov.stats import height_array, sdinv, sminv
+from smirnov.stats import sdinv, sminv
 from smirnov.words import enumerate_words, parse_word
 from smirnov.models import (NoncrossingPartition, noncrossing_to_permutation,
                             polyomino_to_word, smirnov_to_polyomino)
+
+from test_stats import height_array
 
 # criterion -> (suite, key prefixes of its cases, number of cases at default bounds)
 CRITERIA = {

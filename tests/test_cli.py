@@ -182,7 +182,7 @@ class TestVerify:
 
     def test_words_outside_the_cells_are_reported(self):
         # no segmented word has k + l >= n, so only a broken enumerator gets here
-        one = QPolynomial.one()
+        one = QPolynomial((1,))
         dist = {(0, 0): one, (0, 1): one, (1, 1): one, (2, 0): QPolynomial.zero()}
         agree = lambda k, l: dist.get((k, l), QPolynomial.zero())  # noqa: E731
         assert verify._mismatch(2, dist, agree) == \
@@ -206,7 +206,7 @@ class TestVerify:
         monkeypatch.setenv("SMIRNOV_THREADS", "1")
         real = verify.sf_h_coefficient
         monkeypatch.setattr(verify, "sf_h_coefficient", lambda n, k, l, mu: (
-            real(n, k, l, mu) + QPolynomial.one() if tuple(mu) == (2, 1)
+            real(n, k, l, mu) + QPolynomial((1,)) if tuple(mu) == (2, 1)
             else real(n, k, l, mu)))
         report = verify.run_suite("models", 3)
         failed = {c.key: c.witness for c in report.cases if not c.ok}

@@ -279,6 +279,13 @@ class TestPolyominoRejection:
         with pytest.raises(ValueError, match="^labels must be positive integers$"):
             LabelledPolyomino("NE", "EN", ((0, 0, value),))
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 0, 1, 1), ("a", 0, 1), (0, 0.0, 1), (0, True, 1)])
+    def test_labels_must_be_integer_triples(self, cell):
+        with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
+            LabelledPolyomino("NE", "EN", (cell,))
+        with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
+            LabelledPolyomino("NNE", "ENN", ((0, 0, 1), cell))
+
     def test_column_labels_not_increasing(self):
         LabelledPolyomino("NNE", "ENN", ((0, 0, 1), (0, 1, 2)))
         with pytest.raises(ValueError, match="column 0 labels must increase"):

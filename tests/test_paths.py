@@ -78,9 +78,15 @@ class TestStepForm:
         with pytest.raises(ValueError, match="^labels must be positive integers$"):
             DecoratedLabelledDyckPath("NE", (label,), (), ())
 
-    def test_ascii_grid_smoke(self):
-        grid = GENERAL.ascii_grid()
-        assert isinstance(grid, str) and grid.count("\n") == 7
+    @pytest.mark.parametrize("entry", [2.0, "a", True])
+    def test_decorations_must_be_integers(self, entry):
+        # vertical step 2 is a rise of NNEE and a contractible valley of NENE
+        DecoratedLabelledDyckPath("NNEE", (1, 2), (2,), ())
+        DecoratedLabelledDyckPath("NENE", (1, 2), (), (2,))
+        with pytest.raises(ValueError, match="^decorated rise %r is not a rise$" % entry):
+            DecoratedLabelledDyckPath("NNEE", (1, 2), (entry,), ())
+        with pytest.raises(ValueError, match="^decorated valley %r is not a contractible" % entry):
+            DecoratedLabelledDyckPath("NENE", (1, 2), (), (entry,))
 
 
 class TestBlockForm:

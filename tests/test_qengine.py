@@ -121,11 +121,15 @@ class TestQPolynomial:
         assert QPolynomial((1, 0, 0)).coeffs == (1,)
         assert QPolynomial(()) == QPolynomial.zero()
         assert not QPolynomial.zero()
-        assert QPolynomial.zero().degree == float("-inf")
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             QPolynomial((1, -2))
+
+    @pytest.mark.parametrize("c", [1.5, 1.0, True, "1"])
+    def test_coefficients_must_be_ints(self, c):
+        with pytest.raises(ValueError, match="^QPolynomial coefficients must be nonnegative, got"):
+            QPolynomial((1, c))
 
     def test_immutable(self):
         p = QPolynomial((1, 2))
@@ -139,14 +143,8 @@ class TestQPolynomial:
         assert str(QPolynomial((0, 1))) == "q"
 
     def test_q_power_and_times(self):
-        assert QPolynomial.q_power(3) == QPolynomial((0, 0, 0, 1))
         assert QPolynomial((1, 1)).times_q_power(2) == QPolynomial((0, 0, 1, 1))
         assert QPolynomial.zero().times_q_power(5) == QPolynomial.zero()
-
-    def test_json_round_trip(self):
-        p = QPolynomial((1, 0, 7, 10 ** 30))
-        assert QPolynomial.from_json(p.to_json()) == p
-        assert p.to_json() == {"coeffs": ["1", "0", "7", str(10 ** 30)]}
 
     def test_int_comparison(self):
         assert QPolynomial((5,)) == 5
@@ -267,6 +265,11 @@ class TestRecursion:
             sf_h_coefficient(-1, 0, 0, ())
         with pytest.raises(ValueError):
             sf_h_coefficient(3, -1, 0, (3,))
+
+    @pytest.mark.parametrize("mu", [(1.0, 1.0), (2.0,), (True, True), (1, True), ("2",), (2, 0.0)])
+    def test_content_parts_must_be_ints(self, mu):
+        with pytest.raises(ValueError, match="^content parts must be nonnegative, got"):
+            sf_h_coefficient(2, 0, 0, mu)
 
     def test_memo_key_sorts_content(self):
         table = SfCoefficientTable()
@@ -455,7 +458,7 @@ class TestRecursion:
 
     def test_cells(self):
         assert qengine.cells(0) == [(0, 0)]
-        assert hilbert_table(0) == {(0, 0): QPolynomial.one()}
+        assert hilbert_table(0) == {(0, 0): QPolynomial((1,))}
         assert qengine.cells(3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
         assert all(len(qengine.cells(n)) == n * (n + 1) // 2 for n in range(1, 9))
 

@@ -10,7 +10,7 @@ from smirnov.qengine import QPolynomial, cells, standard_q_count
 from smirnov.quasisym import (FundamentalTerm, composition_from_split,
                               direct_monomial_sum, expand_to_monomials,
                               fiber_condition, fundamental_expansion, split_set,
-                              standardize, thick_positions)
+                              standardize)
 from smirnov.stats import sminv_count
 from smirnov.words import enumerate_words, parse_word, words_of_length
 
@@ -84,7 +84,7 @@ class TestSplit:
             composition_from_split({3}, 3)
 
     def test_fundamental_term_split_round_trip(self):
-        term = FundamentalTerm((4, 3, 2), QPolynomial.one())
+        term = FundamentalTerm((4, 3, 2), QPolynomial((1,)))
         assert term.split == frozenset({4, 7})
 
 
@@ -150,8 +150,3 @@ class TestKeyedEnumerators:
                 got = {e: _histogram(p) for e, p in direct_monomial_sum(n, k, l, bound).items()}
                 assert got == expected, (bound, k, l)
 
-
-class TestThickPositions:
-    def test_thick_are_initials_and_post_descents(self):
-        w = parse_word("231|3212|12")
-        assert thick_positions(w) == frozenset({1, 3, 4, 5, 6, 8})

@@ -6,13 +6,31 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, height_array,
-                           omp_dinv, omp_inv, project, sdinv, sdinv_count,
-                           sminv, sminv_count)
+from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, omp_dinv, omp_inv,
+                           project, sdinv, sdinv_count, sminv, sminv_count)
 from smirnov.words import (EMPTY_WORD, PEAK, classify, enumerate_words,
                            occurrence_roles, parse_word, words_of_length)
 
-from test_words import words
+from test_words import initial_positions, words
+
+
+def height_array(w, m):
+    """height_m at every position: letters < m since the nearest left barrier
+    (block start or a letter > m)."""
+    letters = w.letters
+    initial = initial_positions(w)
+    heights = []
+    run = 0
+    for i in range(1, w.n + 1):
+        if i in initial or letters[i - 2] > m:
+            run = 0
+        heights.append(run)
+        if letters[i - 1] < m:
+            run += 1
+        elif letters[i - 1] > m:
+            run = 0
+        # letters equal to m neither count nor reset
+    return tuple(heights)
 
 
 def sminv_oracle(w):
@@ -21,7 +39,7 @@ def sminv_oracle(w):
     w_{j-1} = w_i with j-1 initial; (4) i != j-1 and w_{j-2} > w_{j-1} = w_i."""
     letters = w.letters
     n = w.n
-    initial = w.initial_positions
+    initial = initial_positions(w)
     pairs = []
     for i in range(1, n + 1):
         wi = letters[i - 1]
@@ -51,7 +69,7 @@ def sdinv_oracle(w):
     letters = w.letters
     n = w.n
     roles = occurrence_roles(w)
-    initial = w.initial_positions
+    initial = initial_positions(w)
     sm_pairs = {}
     for i, j, tags in sminv_oracle(w):
         sm_pairs.setdefault(i, []).append(j)
@@ -150,7 +168,7 @@ class TestHeights:
     def test_height_vanishes_at_initial_positions(self, w):
         for m in range(1, max(w.letters) + 2):
             arr = height_array(w, m)
-            for i in w.initial_positions:
+            for i in initial_positions(w):
                 assert arr[i - 1] == 0
 
 

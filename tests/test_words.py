@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import smirnov
-from smirnov.quasisym import thick_positions
+from smirnov.quasisym import standardize
 from smirnov.words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, classify,
                            enumerate_words, enumerate_words_by_stat, extract_maximal,
                            insert_many, letter_content, parse_word, partitions_of,
@@ -35,6 +35,11 @@ def words(draw, n_max=8, alphabet=4):
             return SegmentedSmirnovWord(letters, shape)
         except ValueError:
             n = draw(st.integers(min_value=1, max_value=n_max))
+
+
+def initial_positions(w):
+    """1-based positions that start a block, read from the shape."""
+    return frozenset(itertools.accumulate(w.shape, initial=1)) - {w.n + 1}
 
 
 def _parse_word_reference(text):
@@ -78,7 +83,6 @@ class TestConstruction:
         assert w.blocks == ((2, 3, 1), (3, 2, 1, 2), (1, 2))
         assert w.content() == (3, 4, 2)
         assert w.text() == "231|3212|12"
-        assert w.initial_positions == frozenset({1, 4, 8})
         assert w.final_positions == frozenset({3, 7, 9})
         assert w.ascent_positions() == frozenset({1, 6, 8})
         assert w.descent_positions() == frozenset({2, 4, 5})
@@ -162,10 +166,6 @@ class TestConstruction:
     def test_text_matches_its_definition(self, w):
         assert w.text() == _text_reference(w)
 
-    def test_json_round_trip(self):
-        w = parse_word("231|3212|12")
-        assert SegmentedSmirnovWord.from_json(w.to_json()) == w
-
 
 class TestClassify:
     def test_worked_example_roles(self):
@@ -215,25 +215,42 @@ def _reference_roles(w):
 
 def _reference_thick(w):
     """1-based i that start a block or follow a larger letter."""
+    initial = initial_positions(w)
     return frozenset(i for i in range(1, w.n + 1)
-                     if i in w.initial_positions or w.letters[i - 2] > w.letters[i - 1])
+                     if i in initial or w.letters[i - 2] > w.letters[i - 1])
+
+
+def _reference_standardize(w):
+    """The letters of standardize(w), relabelled by the reading order: smaller
+    values first; for each value, the thin occurrences right to left, then the
+    thick ones left to right."""
+    thick = _reference_thick(w)
+    order = []
+    for m in sorted(set(w.letters)):
+        at = [i for i in range(1, w.n + 1) if w.letters[i - 1] == m]
+        order += [i for i in reversed(at) if i not in thick]
+        order += [i for i in at if i in thick]
+    sigma = [0] * w.n
+    for rank, i in enumerate(order, start=1):
+        sigma[i - 1] = rank
+    return tuple(sigma)
 
 
 class TestOccurrenceRoles:
-    """classify and thick_positions read one role function; both are checked
+    """classify and standardize read one role function; both are checked
     against their definitions."""
 
     def test_every_short_word_matches_the_definitions(self):
         for n in range(6):
             for w in words_of_length(n, n):
                 assert classify(w).roles == _reference_roles(w), w
-                assert thick_positions(w) == _reference_thick(w), w
+                assert standardize(w).letters == _reference_standardize(w), w
 
     @given(words(n_max=12, alphabet=6))
     @settings(max_examples=200, deadline=None)
     def test_random_words_match_the_definitions(self, w):
         assert classify(w).roles == _reference_roles(w)
-        assert thick_positions(w) == _reference_thick(w)
+        assert standardize(w).letters == _reference_standardize(w)
 
 
 class TestEnumeration:
@@ -256,6 +273,11 @@ class TestEnumeration:
 
     def test_trailing_zeros_trimmed(self):
         assert list(enumerate_words((2, 1, 0))) == list(enumerate_words((2, 1)))
+
+    @pytest.mark.parametrize("mu", [(1.5,), (1.0, 1.0), (True, True), ("1",), (2, 0.0), (1, -1)])
+    def test_content_parts_must_be_ints(self, mu):
+        with pytest.raises(ValueError, match="^content parts must be nonnegative$"):
+            list(enumerate_words(mu))
 
     def test_by_stat_partition(self):
         mu = (2, 2)
@@ -379,6 +401,35 @@ class TestDepthFirst:
             read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             found.extend("%s:%d %s" % (path.name, line, name)
                          for name, line in imported.items() if name not in read)
+        assert not found, found
+
+    def test_every_public_definition_is_read_outside_the_tests(self):
+        # a public function, class, method or property that only tests call is
+        # dead weight; click commands are reached through their decorator
+        package = pathlib.Path(smirnov.__file__).parent
+        root = pathlib.Path(__file__).resolve().parents[1]
+        trees = {path: ast.parse(path.read_text(), filename=str(path))
+                 for path in sorted(package.glob("*.py")) + sorted(root.glob("scripts/*.py"))
+                 + sorted(root.glob("bench/*.py"))}
+        read = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name.split(".")[-1])
+        found = []
+        for path in sorted(package.glob("*.py")):
+            body = list(trees[path].body)
+            body += [node for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body]
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_") and node.name not in read
+                        and not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                                    and d.func.attr == "command" for d in node.decorator_list)):
+                    found.append("%s:%d %s" % (path.name, node.lineno, node.name))
         assert not found, found
 
     def test_every_export_resolves(self):
