@@ -7,7 +7,8 @@ end-to-end metrics of every run go to BENCH_<label>.json in the current
 directory, per seed and pooled over the seeds: the median, quartiles and runs
 of each side, the change against the parent's median, the pairs in which the
 change read lower, and whether the difference is resolved: the medians differ
-by more than the spread q3 - q1 of the parent's own runs.  A file that
+by more than the spread q3 - q1 of the parent's own runs.  Beside them go the
+pass counts of each side's runs, which peak_rss_mb grows with.  A file that
 already exists keeps its other workloads and its hand-written "change",
 "claim" and "notes".
 
@@ -24,13 +25,15 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, size: str) -> dict:
-    """The JSON result line of one `bench/run.py --trace 0` run in `root`."""
+    """The JSON result line of one `bench/run.py --trace 0` run in `root`,
+    with "passes" added: the pass count its first line reports."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -38,7 +41,11 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, size: str) ->
         cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode:
         sys.exit("bench in %s failed:\n%s" % (root, proc.stderr))
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    passes = re.search(r": (\d+) passes", lines[0])
+    if passes is None:
+        sys.exit("bench in %s reported no pass count: %r" % (root, lines[0]))
+    return dict(json.loads(lines[-1]), passes=int(passes[1]))
 
 
 def spread(runs: list) -> dict:
@@ -68,7 +75,10 @@ def summary(pairs: list, bounds: dict) -> dict:
         entry["resolved"] = (abs(entry["change"]["median"] - entry["parent"]["median"])
                              > entry["parent"]["q3"] - entry["parent"]["q1"])
         metrics[name] = entry
-    return {"pairs": len(pairs), "tallies": tallies, "metrics": metrics}
+    # peak_rss_mb grows with the passes that fit in a run, so record them beside it
+    passes = {side: spread([r["passes"] for r in results])
+              for side, results in zip(("parent", "change"), zip(*pairs))}
+    return {"pairs": len(pairs), "tallies": tallies, "passes": passes, "metrics": metrics}
 
 
 def check_runs(per_seed: dict) -> tuple:

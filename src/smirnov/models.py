@@ -48,9 +48,13 @@ class LabelledPolyomino:
     labels: tuple  # sorted ((col, row, value), ...)
 
     def __post_init__(self):
-        labels = tuple(map(tuple, self.labels))
+        triples = "each label must be a (col, row, value) triple, col and row integers"
+        try:
+            labels = tuple(map(tuple, self.labels))
+        except TypeError:  # labels, or one of them, is not iterable
+            raise ValueError(triples) from None
         if not all(len(cell) == 3 and type(cell[0]) is type(cell[1]) is int for cell in labels):
-            raise ValueError("each label must be a (col, row, value) triple, col and row integers")
+            raise ValueError(triples)
         # the values are checked before the sort compares them
         if not all(type(cell[2]) is int and cell[2] >= 1 for cell in labels):
             raise ValueError("labels must be positive integers")

@@ -32,9 +32,13 @@ class DecoratedLabelledDyckPath:
     dvalley: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "drise", frozenset(self.drise))
-        object.__setattr__(self, "dvalley", frozenset(self.dvalley))
+        for name, make in (("labels", tuple), ("drise", frozenset), ("dvalley", frozenset)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, make(value))
+            except TypeError:  # not iterable, or an unhashable decoration
+                raise ValueError("%s must be a collection of integers, got %r"
+                                 % (name, value)) from None
         steps = self.steps
         if set(steps) - {"N", "E"}:
             raise ValueError("steps must be over {N, E}")

@@ -8,9 +8,11 @@ arbitrary-precision nonnegative integers and subtraction is deliberately absent.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import operator
 import os
+import struct
 import sys
 from array import array
 from typing import Iterable, Sequence
@@ -151,8 +153,10 @@ def _unpack(x: int, w: int) -> QPolynomial:
     size = -(-x.bit_length() // (8 * w)) * w
     data = x.to_bytes(size, "little")
     code = _NATIVE.get(w)
-    if code is None:
-        return _poly(tuple([int.from_bytes(data[i:i + w], "little") for i in range(0, size, w)]))
+    if code is None:  # struct cuts the slots and map converts them: no loop in bytecode
+        return _poly(tuple(map(int.from_bytes,
+                               itertools.chain.from_iterable(struct.iter_unpack("%ds" % w, data)),
+                               itertools.repeat("little"))))
     slots = array(code, data)
     if sys.byteorder == "big":
         slots.byteswap()
@@ -240,6 +244,8 @@ class _QBinomial(_PackedRecursion):
     """
 
     def __call__(self, a: int, b: int) -> QPolynomial:
+        if not (type(a) is type(b) is int):
+            raise ValueError("a, b must be ints, got %r" % ((a, b),))
         if b < 0 or b > a:
             return _ZERO
         if b == 0 or b == a:
@@ -478,8 +484,8 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
     defined with at least one block.  The combinatorial sum for k + l >= n is
     genuinely zero and is available via enumerative_q_sum.
     """
-    if n < 0 or k < 0 or l < 0:
-        raise ValueError("n, k, l must be nonnegative")
+    if not (type(n) is type(k) is type(l) is int) or n < 0 or k < 0 or l < 0:
+        raise ValueError("n, k, l must be nonnegative ints, got %r" % ((n, k, l),))
     key = _canonical_mu(mu)
     if sum(key) != n:
         raise ValueError("content %r does not sum to n=%d" % (tuple(mu), n))
@@ -501,6 +507,8 @@ class _StandardCount(_PackedRecursion):
     SEED = {(0, 0, 0): 1}
 
     def __call__(self, n: int, k: int, l: int) -> QPolynomial:
+        if not (type(n) is type(k) is type(l) is int):
+            raise ValueError("n, k, l must be ints, got %r" % ((n, k, l),))
         if n == 0:
             return _ONE if (k, l) == (0, 0) else _ZERO
         if n < 0 or k < 0 or l < 0 or k + l >= n:
@@ -521,9 +529,17 @@ class _StandardCount(_PackedRecursion):
         get = self.packed.get
         rest = (get((n - 1, k, l), 0) + get((n - 1, k, l - 1) if k < l else (n - 1, k - 1, l), 0)
                 + get((n - 1, k - 1, l), 0) + get((n - 1, k - 1, l - 1), 0))
-        # [B]_q = (q^B - 1) / (q - 1): dividing by one slot costs time linear
-        # in the size of rest, where multiplying by B slots does not
-        return ((rest << (n - k - l) * self.shift) - rest) // ((1 << self.shift) - 1)
+        # times [B]_q, B = n - k - l, by doubling along the bits of B: [2m]_q =
+        # [m]_q (1 + q^m) and [m + 1]_q = 1 + q [m]_q, so O(log B) shifts and
+        # adds of rest-sized ints, where a division by 2^(8w) - 1 costs per digit
+        shift, out, m = self.shift, rest, 1
+        for bit in bin(n - k - l)[3:]:
+            out += out << m * shift
+            m *= 2
+            if bit == "1":
+                out = rest + (out << shift)
+                m += 1
+        return out
 
 
 standard_q_count = _StandardCount()
@@ -580,6 +596,8 @@ def cells(n: int) -> list:
 
 def hilbert_table(n: int) -> dict:
     """Table (k, l) -> standard_q_count(n, k, l) over the cells of size n."""
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative int, got %r" % (n,))
     return {(k, l): standard_q_count(n, k, l) for k, l in cells(n)}
 
 

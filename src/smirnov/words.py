@@ -304,6 +304,18 @@ def enumerate_words_by_stat(mu: Sequence[int], k: int, l: int) -> Iterator[Segme
             yield w
 
 
+def _int_list(name: str, values: Sequence[int]) -> list:
+    """values as a list, each entry an int proper (so not a bool or a float)."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError("%s must hold integers, got %r" % (name, values)) from None
+    for v in values:
+        if type(v) is not int:
+            raise ValueError("%s must hold integers, got %r" % (name, v))
+    return values
+
+
 def insert_many(w: SegmentedSmirnovWord, m: int,
                 peaks: Sequence[int] = (), rises: Sequence[int] = (),
                 falls: Sequence[int] = (), gaps: Sequence[int] = ()) -> SegmentedSmirnovWord:
@@ -319,7 +331,7 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
         raise ValueError("m must be a positive letter")
     blocks = [list(b) for b in w.blocks]
     s = len(blocks)
-    peaks = set(peaks)
+    peaks = set(_int_list("peaks", peaks))
     for t in peaks:
         if not 1 <= t <= s - 1:
             raise ValueError("peak separator %d out of range 1..%d" % (t, s - 1))
@@ -336,19 +348,19 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
                 cur = blocks[t]
         joined.append(cur)
     s1 = len(joined)
-    for b in set(rises):
+    for b in set(_int_list("rises", rises)):
         if not 1 <= b <= s1:
             raise ValueError("rise block %d out of range 1..%d" % (b, s1))
         if joined[b - 1][-1] == m:
             raise ValueError("block %d already ends with m=%d" % (b, m))
         joined[b - 1].append(m)
-    for b in set(falls):
+    for b in set(_int_list("falls", falls)):
         if not 1 <= b <= s1:
             raise ValueError("fall block %d out of range 1..%d" % (b, s1))
         if joined[b - 1][0] == m:
             raise ValueError("block %d already starts with m=%d" % (b, m))
         joined[b - 1].insert(0, m)
-    gaps = list(gaps) or [0] * (s1 + 1)
+    gaps = _int_list("gaps", gaps) or [0] * (s1 + 1)
     if len(gaps) != s1 + 1 or any(g < 0 for g in gaps):
         raise ValueError("gaps must list %d nonnegative counts" % (s1 + 1))
     out = []

@@ -286,6 +286,11 @@ class TestPolyominoRejection:
         with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
             LabelledPolyomino("NNE", "ENN", ((0, 0, 1), cell))
 
+    @pytest.mark.parametrize("labels", [(5,), 5, ((0, 0, 1), 7)])
+    def test_labels_must_be_iterable_triples(self, labels):
+        with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
+            LabelledPolyomino("NE", "EN", labels)
+
     def test_column_labels_not_increasing(self):
         LabelledPolyomino("NNE", "ENN", ((0, 0, 1), (0, 1, 2)))
         with pytest.raises(ValueError, match="column 0 labels must increase"):

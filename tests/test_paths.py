@@ -88,6 +88,14 @@ class TestStepForm:
         with pytest.raises(ValueError, match="^decorated valley %r is not a contractible" % entry):
             DecoratedLabelledDyckPath("NENE", (1, 2), (), (entry,))
 
+    @pytest.mark.parametrize("field, args", [("labels", ("NE", 5, (), ())),
+                                             ("drise", ("NE", (1,), 5, ())),
+                                             ("dvalley", ("NE", (1,), (), 5)),
+                                             ("drise", ("NNEE", (1, 2), ([2],), ()))])
+    def test_arguments_must_be_collections(self, field, args):
+        with pytest.raises(ValueError, match="^%s must be a collection of integers, got" % field):
+            DecoratedLabelledDyckPath(*args)
+
 
 class TestBlockForm:
     def test_text_and_counts(self):

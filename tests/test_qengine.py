@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -192,6 +193,18 @@ class TestQPolynomial:
         assert shifted.coeffs == (_old_shift(_trim(a), k))
 
 
+class TestPackedInts:
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 8, 9, 17, 18])
+    def test_pack_unpack_round_trip(self, w):
+        top = (1 << 8 * w) - 1
+        for coeffs in [(1,), (top,), (0, 0, 5), (7, 0, 0, 0, top, 0, 1),
+                       tuple(range(1, 40)) + (0,) * 9 + (top, 3), (top, 0) * 20 + (1,)]:
+            x = qengine._pack(coeffs, w)
+            assert x == sum(c << 8 * w * i for i, c in enumerate(coeffs))
+            assert qengine._unpack(x, w).coeffs == coeffs
+        assert qengine._pack((), w) == 0 and qengine._unpack(0, w) == 0
+
+
 class TestQBinomial:
     def test_fixtures(self):
         assert q_binomial(3, 2) == QPolynomial((1, 1, 1))
@@ -236,6 +249,15 @@ class TestQBinomial:
         assert q_int(4) == QPolynomial((1, 1, 1, 1))
         assert q_int(0) == 0
         assert q_int(-3) == 0
+
+
+# float, str and bool sizes; a negative size is an error for hilbert_table only
+_BAD_SIZES = [
+    ("sf_h_coefficient", (2.0, 0, 0, (2,))), ("sf_h_coefficient", (2, True, 0, (1, 1))),
+    ("sf_h_coefficient", (3, 0, "1", (3,))), ("standard_q_count", (3.0, 0, 0)),
+    ("standard_q_count", (3, True, 0)), ("standard_q_count", (3, 0, 1.0)),
+    ("q_binomial", (2.0, 1)), ("q_binomial", (3, "1")), ("q_binomial", (True, 1)),
+    ("hilbert_table", (3.0,)), ("hilbert_table", (True,)), ("hilbert_table", (-1,))]
 
 
 class TestRecursion:
@@ -413,7 +435,7 @@ class TestRecursion:
         # the standard-case recursion on coefficient tuples, with schoolbook products
         ref = {(0, 0, 0): (1,)}
         standard_q_count.cache_clear()
-        for n in range(15):  # the slots widen from 1 to 8 bytes on the way
+        for n in range(21):  # the slots widen from 1 to 11 bytes on the way
             for k, l in qengine.cells(n):
                 if n:
                     rest = ()
@@ -455,6 +477,12 @@ class TestRecursion:
                 assert table.coefficient(4, k, l, mu).coeffs == \
                     _old_coefficient(4, k, l, mu, memo), (mu, k, l)
         assert table.w == qengine._count_slot(4)
+
+    @pytest.mark.parametrize("name, args", _BAD_SIZES, ids=["%s%r" % case for case in _BAD_SIZES])
+    def test_sizes_must_be_ints(self, name, args):
+        shown = repr(args[0]) if name == "hilbert_table" else repr(args[:3])
+        with pytest.raises(ValueError, match="must be .*ints?, got %s$" % re.escape(shown)):
+            getattr(qengine, name)(*args)
 
     def test_cells(self):
         assert qengine.cells(0) == [(0, 0)]

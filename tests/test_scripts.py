@@ -39,6 +39,9 @@ def test_bench_pairs_records_one_tiny_pair(tmp_path):
     entry = record["workloads"]["coeff-table"]["seed 0"]
     assert entry["pairs"] == 1
     assert entry["tallies"]["parent"] == entry["tallies"]["change"]
+    for side in ("parent", "change"):
+        [passes] = entry["passes"][side]["runs"]
+        assert type(passes) is int and passes >= 1
     assert all(t.startswith("correct=True") for t in entry["tallies"]["change"])
     assert set(entry["metrics"]) == {"wall_s", "item_p50_us", "item_p99_us", "setup_s",
                                      "peak_rss_mb"}
@@ -55,7 +58,8 @@ def _bench_pairs():
 
 
 def _result(correct=True, attempted=8000, failed=730):
-    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {}}
+    return {"correct": correct, "attempted": attempted, "failed": failed, "passes": 9,
+            "metrics": {}}
 
 
 def test_bench_pairs_summary_resolves_a_difference_beyond_the_parent_spread():
@@ -65,7 +69,9 @@ def test_bench_pairs_summary_resolves_a_difference_beyond_the_parent_spread():
                      for v in (parent, change))
     # parent runs 10..14: median 12, q1 11, q3 13, so a spread of 2
     wall = [pair(p, c) for p, c in zip([10, 11, 12, 13, 14], [12.5, 13.5, 14.5, 15.5, 16.5])]
-    metrics = _bench_pairs().summary(wall, {"wall_s": 0.25})["metrics"]
+    entry = _bench_pairs().summary(wall, {"wall_s": 0.25})
+    assert entry["passes"]["change"] == {"median": 9, "q1": 9, "q3": 9, "runs": [9] * 5}
+    metrics = entry["metrics"]
     assert metrics["wall_s"]["parent"] == {"median": 12, "q1": 11, "q3": 13,
                                            "runs": [10, 11, 12, 13, 14]}
     assert metrics["wall_s"]["resolved"] is True  # |14.5 - 12| > 2

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -502,6 +503,16 @@ class TestInsertion:
     def test_m_must_be_an_int(self, m):
         with pytest.raises(ValueError, match="^m must be a positive letter$"):
             insert_many(SegmentedSmirnovWord((1,), (1,)), m, gaps=[1, 0])
+
+    @pytest.mark.parametrize("word, kind, entries", [
+        ("1", "gaps", (1.5, 0)), ("1", "gaps", (0, True)), ("1", "rises", (1.0,)),
+        ("1", "falls", ("1",)), ("1|1", "peaks", (True,)), ("1|2|1", "peaks", (1, True)),
+        ("1", "falls", 1)])
+    def test_site_entries_must_be_ints(self, word, kind, entries):
+        bad = entries if type(entries) is int else [e for e in entries if type(e) is not int][0]
+        with pytest.raises(ValueError, match="^%s must hold integers, got %s$"
+                           % (kind, re.escape(repr(bad)))):
+            insert_many(parse_word(word), 2, **{kind: entries})
 
     def test_equal_max_rejected_when_adjacent(self):
         w = parse_word("41|13")
