@@ -5,10 +5,11 @@ Each side runs its own bench/run.py, from its own directory, one process at a
 time: the parent first in odd pairs, the change first in even pairs.  The
 end-to-end metrics of every run go to BENCH_<label>.json in the current
 directory, per seed and pooled over the seeds: the median, quartiles and runs
-of each side, the change against the parent's median, the pairs in which the
-change read lower, and whether the difference is resolved: the medians differ
-by more than the spread q3 - q1 of the parent's own runs.  Beside them go the
-pass counts of each side's runs, which peak_rss_mb grows with.  A file that
+(in pair order) of each side, the change against the parent's median, the
+pairs in which the change read lower, and whether the difference is resolved:
+the medians differ by more than the spread q3 - q1 of the parent's own runs.
+Beside them go the pass counts of each side's runs, in the same order, which
+peak_rss_mb grows with.  A file that
 already exists keeps its other workloads and its hand-written "change",
 "claim" and "notes".
 
@@ -54,7 +55,7 @@ def spread(runs: list) -> dict:
     else:
         q1 = q3 = runs[0]
     return {"median": round(statistics.median(runs), 6), "q1": round(q1, 6),
-            "q3": round(q3, 6), "runs": sorted(round(r, 6) for r in runs)}
+            "q3": round(q3, 6), "runs": [round(r, 6) for r in runs]}
 
 
 def summary(pairs: list, bounds: dict) -> dict:

@@ -87,7 +87,6 @@ def cmd_verify(suite, n_max, instances, seed, as_json):
     """Run a verification suite; exit status 0 iff every case passes."""
     names = list(verify.SUITES) if suite == "all" else [suite]
     try:
-        verify.worker_count()
         for name in names:
             verify.suite_bound(name, n_max, instances)
     except ValueError as exc:

@@ -61,7 +61,7 @@ class LabelledPolyomino:
         labels = tuple(sorted(labels))
         object.__setattr__(self, "labels", labels)
         up, lo = self.upper, self.lower
-        if set(up) - {"N", "E"} or set(lo) - {"N", "E"}:
+        if not type(up) is type(lo) is str or set(up + lo) - {"N", "E"}:
             raise ValueError("paths must be over {N, E}")
         if up.count("N") != lo.count("N") or up.count("E") != lo.count("E"):
             raise ValueError("paths must share their endpoints")

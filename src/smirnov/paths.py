@@ -40,7 +40,7 @@ class DecoratedLabelledDyckPath:
                 raise ValueError("%s must be a collection of integers, got %r"
                                  % (name, value)) from None
         steps = self.steps
-        if set(steps) - {"N", "E"}:
+        if type(steps) is not str or set(steps) - {"N", "E"}:
             raise ValueError("steps must be over {N, E}")
         n = steps.count("N")
         if steps.count("E") != n:

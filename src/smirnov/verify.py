@@ -63,17 +63,13 @@ class VerificationReport:
         }
 
 
-def worker_count() -> int:
-    """Worker processes from SMIRNOV_THREADS (default 1); anything but a positive
-    integer is rejected."""
-    raw = os.environ.get("SMIRNOV_THREADS", "1")
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (taskset and cgroup cpusets narrow it), else every CPU."""
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError("SMIRNOV_THREADS must be a positive integer, got %r" % raw)
-    return workers
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _timed(task: tuple) -> CaseResult:
@@ -84,11 +80,12 @@ def _timed(task: tuple) -> CaseResult:
 
 
 def _run_cases(tasks: List[tuple]) -> List[CaseResult]:
-    """Run (key, case function, args) tasks, through one process pool when
-    SMIRNOV_THREADS > 1; a case returns its witness, "" when it passes, and is
+    """Run (key, case function, args) tasks, through one process pool of one
+    worker per usable CPU (no more than there are tasks) when that is above 1,
+    in process otherwise; a case returns its witness, "" when it passes, and is
     timed where it runs.  The results come back sorted by key."""
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(len(tasks), _cpus())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_timed, tasks))
     else:
@@ -234,6 +231,9 @@ def _case_projection_mu(mu: tuple) -> str:
     by_kl: dict = {}
     for w in enumerate_words(mu):
         by_kl.setdefault((len(w.ascent_positions()), len(w.descent_positions())), []).append(w)
+    ops: dict = {}  # OP(mu), the ordered set partitions of content mu, by block count
+    for op in enumerate_omp(mu):
+        ops.setdefault(op.r, set()).add(op.blocks)
     for (k, l), words in sorted(by_kl.items()):
         # l = 0 projects onto OP(mu, n - k) with sdinv -> dinv, k = 0 onto
         # OP(mu, n - l) with sdinv -> inv; sminv goes to inv in both
@@ -246,8 +246,7 @@ def _case_projection_mu(mu: tuple) -> str:
                 images.add(p.blocks)
                 if (sminv_count(w), sdinv_count(w)) != (omp_inv(p), sdinv_image(p)):
                     return "statistics not carried over for %s" % w
-            target = {p.blocks for p in enumerate_omp(mu, blocks)}
-            if len(images) != len(words) or images != target:
+            if len(images) != len(words) or images != ops.get(blocks, set()):
                 return "projection at k=%d l=%d not bijective onto OP(mu, %d)" % (k, l, blocks)
     return ""
 

@@ -8,8 +8,6 @@ appear even under pytest's output capture; run
 `pytest tests/test_acceptance.py -v` for the full detail.
 """
 
-import os
-
 import pytest
 
 from smirnov import verify
@@ -39,17 +37,12 @@ CRITERIA = {
 
 @pytest.fixture(scope="module")
 def suite_cases():
-    """A suite's cases at default bounds; each suite runs once, on first use.
-    Exhaustive sweeps are shared across processes when several cores are
-    available, unless SMIRNOV_THREADS is already set."""
+    """A suite's cases at default bounds; each suite runs once, on first use."""
     reports = {}
 
     def _cases(name):
         if name not in reports:
-            with pytest.MonkeyPatch.context() as mp:
-                if "SMIRNOV_THREADS" not in os.environ:
-                    mp.setenv("SMIRNOV_THREADS", str(min(4, os.cpu_count() or 1)))
-                reports[name] = verify.run_suite(name).cases
+            reports[name] = verify.run_suite(name).cases
         return reports[name]
     return _cases
 

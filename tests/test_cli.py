@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
@@ -108,6 +107,27 @@ class TestStat:
         assert "cannot parse word: bad letter '²' in block 1" in result.output
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """One usable CPU, so the suites run their cases in this process and see
+    its monkeypatches."""
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools the suites start."""
+    started = []
+
+    class Pool(verify.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+    return started
+
+
 class TestVerify:
     def test_small_suite_passes(self):
         result = run("verify", "--suite", "equidistribution", "--n-max", "3")
@@ -123,15 +143,35 @@ class TestVerify:
         assert reports[0]["failed"] == 0
         assert all(c["elapsed"] >= 0 for c in reports[0]["cases"])
 
-    def test_case_elapsed_is_measured_in_pool_workers(self):
-        result = CliRunner().invoke(main, ["verify", "--suite", "equidistribution",
-                                           "--n-max", "4", "--json"],
-                                    env={"SMIRNOV_THREADS": "2"})
+    def test_case_elapsed_is_measured_in_pool_workers(self, monkeypatch, pools):
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        result = run("verify", "--suite", "equidistribution", "--n-max", "4", "--json")
         assert result.exit_code == 0
+        assert pools == [2]
         [report] = json.loads(result.output)
         elapsed = [c["elapsed"] for c in report["cases"]]
         assert len(elapsed) == 12
         assert min(elapsed) >= 0 and max(elapsed) > 0
+
+    @pytest.mark.parametrize("cpus,tasks,started", [
+        (1, 12, []), (8, 1, []), (8, 0, []), (8, 3, [3]), (2, 12, [2])])
+    def test_pool_has_a_worker_per_usable_cpu_and_task(self, monkeypatch, pools,
+                                                       cpus, tasks, started):
+        # one usable CPU, or one task, runs the cases in this process
+        monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+        keys = ["case %02d" % i for i in range(tasks)]
+        results = verify._run_cases([(key, str, "") for key in reversed(keys)])
+        assert pools == started
+        assert [c.key for c in results] == keys and all(c.ok for c in results)
+
+    def test_usable_cpus_are_the_affinity_mask_else_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert verify._cpus() == 2
+        monkeypatch.delattr(verify.os, "sched_getaffinity")
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 6)
+        assert verify._cpus() == 6
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._cpus() == 1
 
     @pytest.mark.parametrize("args,message", [
         # each of these used to pass vacuously ("0 passed, 0 failed", exit 0)
@@ -149,16 +189,8 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_count_is_usage_error(self, value):
-        result = CliRunner().invoke(main, ["verify", "--suite", "models", "--n-max", "2"],
-                                    env={"SMIRNOV_THREADS": value})
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "SMIRNOV_THREADS" in result.output and repr(value) in result.output
-
+    @pytest.mark.usefixtures("in_process")
     def test_failing_case_reaches_the_report(self, monkeypatch):
-        monkeypatch.setenv("SMIRNOV_THREADS", "1")
         monkeypatch.setattr(verify, "standard_q_count", lambda n, k, l: QPolynomial((7,)))
         report = verify.run_suite("main-theorem", 3)
         failed = [c for c in report.cases if not c.ok]
@@ -169,9 +201,9 @@ class TestVerify:
         assert "[FAIL] standard-case n=4 -- k=0 l=0 recursion=7" in result.output
         assert "5 failed" in result.output
 
+    @pytest.mark.usefixtures("in_process")
     def test_empty_content_is_compared(self, monkeypatch):
         # main-theorem mu=() used to compare no cell and pass whatever the recursion gave
-        monkeypatch.setenv("SMIRNOV_THREADS", "1")
         real = verify.sf_h_coefficient
         monkeypatch.setattr(verify, "sf_h_coefficient", lambda n, k, l, mu: (
             QPolynomial((5,)) if n == 0 else real(n, k, l, mu)))
@@ -179,6 +211,14 @@ class TestVerify:
         failed = {c.key: c.witness for c in report.cases if not c.ok}
         assert failed.keys() == {"main-theorem mu=()", "standard-case n=0"}
         assert failed["main-theorem mu=()"] == "k=0 l=0 recursion=5 enumeration=1"
+
+    def test_projection_compares_with_each_block_count(self, monkeypatch):
+        # OP((1, 1, 1)) without one of its 2-block partitions
+        real = verify.enumerate_omp
+        monkeypatch.setattr(verify, "enumerate_omp", lambda mu: (
+            p for p in real(mu) if p.blocks != ((1, 2), (3,))))
+        assert verify._case_projection_mu((1, 1, 1)) == \
+            "projection at k=0 l=1 not bijective onto OP(mu, 2)"
 
     def test_words_outside_the_cells_are_reported(self):
         # no segmented word has k + l >= n, so only a broken enumerator gets here
@@ -190,9 +230,9 @@ class TestVerify:
         del dist[1, 1]
         assert verify._mismatch(2, dist, agree) == ""
 
+    @pytest.mark.usefixtures("in_process")
     def test_symmetry_compares_each_rearrangement_with_the_recursion(self, monkeypatch):
         # SW((1, 2)) enumerated without one word; the sorted content stays right
-        monkeypatch.setenv("SMIRNOV_THREADS", "1")
         real = verify.enumerate_words
         monkeypatch.setattr(verify, "enumerate_words", lambda mu: (
             itertools.islice(real(mu), 1, None) if tuple(mu) == (1, 2) else real(mu)))
@@ -201,9 +241,9 @@ class TestVerify:
         assert list(failed) == ["symmetry mu=(2, 1)"]
         assert failed["symmetry mu=(2, 1)"].startswith("rearrangement (1, 2): k=")
 
+    @pytest.mark.usefixtures("in_process")
     def test_chromatic_compares_with_the_recursion(self, monkeypatch):
         # the colouring tallies are right; the recursion is wrong at mu = (2, 1) alone
-        monkeypatch.setenv("SMIRNOV_THREADS", "1")
         real = verify.sf_h_coefficient
         monkeypatch.setattr(verify, "sf_h_coefficient", lambda n, k, l, mu: (
             real(n, k, l, mu) + QPolynomial((1,)) if tuple(mu) == (2, 1)
@@ -212,10 +252,6 @@ class TestVerify:
         failed = {c.key: c.witness for c in report.cases if not c.ok}
         assert list(failed) == ["chromatic n=3"]
         assert failed["chromatic n=3"] == "mu=(2, 1) l=0 tally=0 recursion=1"
-
-    def test_thread_count_is_not_left_set(self, threads_at_start):
-        # collecting or running the acceptance gate once set it for every later test
-        assert os.environ.get("SMIRNOV_THREADS") == threads_at_start
 
 
 class TestTable:

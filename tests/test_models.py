@@ -291,6 +291,12 @@ class TestPolyominoRejection:
         with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
             LabelledPolyomino("NE", "EN", labels)
 
+    @pytest.mark.parametrize("upper, lower", [(5, "EN"), ("NE", 5), (["N", "E"], "EN"),
+                                              ("NE", ("E", "N")), (b"NE", b"EN")])
+    def test_paths_must_be_strings(self, upper, lower):
+        with pytest.raises(ValueError, match="^paths must be over {N, E}$"):
+            LabelledPolyomino(upper, lower, ((0, 0, 1),))
+
     def test_column_labels_not_increasing(self):
         LabelledPolyomino("NNE", "ENN", ((0, 0, 1), (0, 1, 2)))
         with pytest.raises(ValueError, match="column 0 labels must increase"):

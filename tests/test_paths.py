@@ -97,6 +97,13 @@ class TestStepForm:
             DecoratedLabelledDyckPath(*args)
 
 
+    @pytest.mark.parametrize("steps", [5, ["N", "E"], ("N", "E"), b"NE", None])
+    def test_steps_must_be_a_string(self, steps):
+        # a list of steps used to be kept, so the path could not be hashed
+        with pytest.raises(ValueError, match="^steps must be over {N, E}$"):
+            DecoratedLabelledDyckPath(steps, (1,), (), ())
+
+
 class TestBlockForm:
     def test_text_and_counts(self):
         D = phi(parse_word("43|1|42|421"))

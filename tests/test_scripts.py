@@ -57,8 +57,8 @@ def _bench_pairs():
     return module
 
 
-def _result(correct=True, attempted=8000, failed=730):
-    return {"correct": correct, "attempted": attempted, "failed": failed, "passes": 9,
+def _result(correct=True, attempted=8000, failed=730, passes=9):
+    return {"correct": correct, "attempted": attempted, "failed": failed, "passes": passes,
             "metrics": {}}
 
 
@@ -84,6 +84,23 @@ def test_bench_pairs_summary_resolves_a_difference_beyond_the_parent_spread():
     edge = [pair(p, c) for p, c in zip([10, 11, 12, 13, 14], [14] * 5)]
     assert _bench_pairs().summary(edge, {})["metrics"]["wall_s"]["resolved"] is False  # 2, not > 2
 
+
+
+def test_bench_pairs_summary_keeps_the_runs_in_pair_order():
+    # a run's peak_rss_mb must stay matched with its own pass count
+    def run(rss, wall, passes):
+        return dict(_result(passes=passes), metrics={
+            "peak_rss_mb": {"value": rss, "unit": "MB"}, "wall_s": {"value": wall, "unit": "s"}})
+    pairs = [(run(27.2, 40.1, 9), run(26.0, 40.3, 7)), (run(25.8, 40.4, 6), run(27.5, 40.0, 10)),
+             (run(26.5, 40.2, 8), run(25.1, 40.6, 5))]
+    entry = _bench_pairs().summary(pairs, {})
+    assert entry["passes"]["parent"] == {"median": 8, "q1": 7, "q3": 8.5, "runs": [9, 6, 8]}
+    assert entry["passes"]["change"]["runs"] == [7, 10, 5]
+    rss, wall = entry["metrics"]["peak_rss_mb"], entry["metrics"]["wall_s"]
+    assert rss["parent"] == {"median": 26.5, "q1": 26.15, "q3": 26.85, "runs": [27.2, 25.8, 26.5]}
+    assert rss["change"]["runs"] == [26.0, 27.5, 25.1]
+    assert wall["parent"]["runs"] == [40.1, 40.4, 40.2]
+    assert wall["change"]["runs"] == [40.3, 40.0, 40.6]
 
 def test_bench_pairs_check_runs_passes_equal_correct_runs():
     check_runs = _bench_pairs().check_runs
