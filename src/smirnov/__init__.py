@@ -4,7 +4,7 @@ labelled Dyck paths, with an exact q-polynomial recursion engine."""
 from .paths import (AreaZeroDecoratedPath, DecoratedLabelledDyckPath, area, area_word,
                     enumerate_area0, path_dinv, phi, phi_inverse, unified_dinv)
 from .qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum, hilbert_table,
-                      q_binomial, q_int, sf_h_coefficient, standard_q_count)
+                      q_binomial, sf_h_coefficient, standard_q_count)
 from .quasisym import (FundamentalTerm, expand_to_monomials, fundamental_expansion,
                        split_set, standardize)
 from .stats import (InversionReport, OrderedMultisetPartition, omp_dinv, omp_inv,
@@ -21,7 +21,7 @@ __all__ = [
     "enumerate_area0", "enumerate_words", "enumerate_words_by_stat",
     "enumerative_q_sum", "expand_to_monomials", "fundamental_expansion",
     "hilbert_table", "omp_dinv", "omp_inv", "parse_word", "path_dinv", "phi",
-    "phi_inverse", "project", "q_binomial", "q_int", "sdinv", "sdinv_count",
+    "phi_inverse", "project", "q_binomial", "sdinv", "sdinv_count",
     "sf_h_coefficient", "sminv", "sminv_count", "split_set",
     "standard_q_count", "standardize", "unified_dinv",
 ]

@@ -250,7 +250,11 @@ class NoncrossingPartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        blocks = tuple(map(tuple, self.blocks))
+        for blk in blocks:  # before the sort, which would compare the elements
+            if not all(type(x) is int and x >= 1 for x in blk):
+                raise ValueError("block elements must be positive integers")
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         object.__setattr__(self, "blocks", blocks)
         flat = sorted(x for blk in blocks for x in blk)
         if flat != list(range(1, len(flat) + 1)):

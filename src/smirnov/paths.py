@@ -149,15 +149,23 @@ class AreaZeroDecoratedPath:
     columns: tuple
 
     def __post_init__(self):
-        cols = tuple([(tuple(labels), bool(flag)) for labels, flag in self.columns])
-        object.__setattr__(self, "columns", cols)
-        for c, (labels, _) in enumerate(cols, start=1):
+        cols = []
+        for c, column in enumerate(self.columns, start=1):
+            try:
+                labels, flag = column
+                labels = tuple(labels)
+            except (TypeError, ValueError):  # not a pair, or labels not iterable
+                raise ValueError("column %d must be a (labels, flag) pair, got %r"
+                                 % (c, column)) from None
+            cols.append((labels, bool(flag)))
             if not labels:
                 raise ValueError("empty column %d" % c)
             if not all(type(x) is int for x in labels) or min(labels) < 1:
                 raise ValueError("labels must be positive integers")
             if not all(map(lt, labels, labels[1:])):
                 raise ValueError("column %d labels must strictly increase" % c)
+        cols = tuple(cols)
+        object.__setattr__(self, "columns", cols)
         if cols and cols[0][1]:
             raise ValueError("the first column cannot be a decorated valley")
         for c, ((prev, _), (labels, flag)) in enumerate(zip(cols, cols[1:]), start=2):

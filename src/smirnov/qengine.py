@@ -163,22 +163,24 @@ def _unpack(x: int, w: int) -> QPolynomial:
     return _poly(tuple(slots))
 
 
-def _fill(packed: dict, top, children, value) -> None:
+def _fill(packed: dict, top, terms, value) -> None:
     """Put `top` and every key below it that `packed` lacks into `packed`,
     lowest level first.
 
-    `children(key)` names the keys one level down that `value(key)` reads
-    and that must be computed first; `value` knows every other key it reads
-    (a base case, or zero outside the recursion's domain).  Only missing keys
-    are visited, and nothing recurses, so the stack stays flat at any size.
+    `terms(key)` lists the (sub-key, weight) pairs of the recursion at `key`,
+    seeds included, and `value(key, terms)` combines them, reading `packed`
+    at exactly those sub-keys: a sub-key that was not filled is a KeyError,
+    never a silent 0.  Only missing keys are visited, and nothing recurses,
+    so the stack stays flat at any size.
     """
     todo, levels = [top], []
     while todo:
-        levels.append(todo)
-        todo = list({c for key in todo for c in children(key) if c not in packed})
-    for keys in reversed(levels):
-        for key in keys:
-            packed[key] = value(key)
+        level = [(key, terms(key)) for key in todo]
+        levels.append(level)
+        todo = list({sub for _, subs in level for sub, _ in subs if sub not in packed})
+    for level in reversed(levels):
+        for key, subs in level:
+            packed[key] = value(key, subs)
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -190,7 +192,7 @@ class _PackedRecursion:
 
     `memo` holds what callers were handed, each unpacked once.  `packed`
     holds every key computed at the current slot width `w` (bytes), filled
-    by `_fill` from the subclass's `_children` and `_value`.  A query that
+    by `_fill` from the subclass's `_terms` and `_value`.  A query that
     needs wider slots starts `packed` again from `SEED`: narrower slots are
     never reused.  It serves one thread; the verification pool's workers are
     processes, each with its own.
@@ -232,7 +234,7 @@ class _PackedRecursion:
             self.hits += 1
             return x
         self.misses += 1
-        _fill(self.packed, key, self._children, self._value)
+        _fill(self.packed, key, self._terms, self._value)
         return self.packed[key]
 
 
@@ -248,42 +250,32 @@ class _QBinomial(_PackedRecursion):
             raise ValueError("a, b must be ints, got %r" % ((a, b),))
         if b < 0 or b > a:
             return _ZERO
-        if b == 0 or b == a:
-            return _ONE
-        return self._get((a, b), a)
+        # no coefficient of [a choose b], or of a key below it, exceeds C(a, b)
+        return self._get((a, b), math.comb(a, b).bit_length())
 
-    @staticmethod
-    def _width(a: int) -> int:
-        return _slot(a + 1)  # coefficients are at most C(a, b) < 2^a
+    _width = staticmethod(_slot)
 
     def _packed(self, key: tuple, w: int) -> int:
         a, b = key
         if b < 0 or b > a:
             return 0
-        if b == 0 or b == a:
-            return 1
         return super()._packed(key, w)
 
     @staticmethod
-    def _children(key: tuple) -> list:
+    def _terms(key: tuple) -> list:
+        """q-Pascal's two terms, each weighted by its power of q; an edge of
+        the triangle, b = 0 or b = a, has none."""
         a, b = key
-        return [(a - 1, c) for c in (b - 1, b) if 0 < c < a - 1]
+        return [((a - 1, b - 1), 0), ((a - 1, b), b)] if 0 < b < a else []
 
-    def _value(self, key: tuple) -> int:
-        a, b = key
-        get = self.packed.get
-        # the children left out of `_children` are edges of the triangle, where [a-1 choose c] = 1
-        return get((a - 1, b - 1), 1) + (get((a - 1, b), 1) << b * self.shift)
+    def _value(self, key: tuple, terms: list) -> int:
+        if not terms:
+            return 1  # [a choose 0] = [a choose a] = 1
+        (left, _), (right, p) = terms  # q^0 [a-1 choose b-1] + q^b [a-1 choose b]
+        return self.packed[left] + (self.packed[right] << p * self.shift)
 
 
 q_binomial = _QBinomial()
-
-
-def q_int(n: int) -> QPolynomial:
-    """[n]_q = 1 + q + ... + q^(n-1); zero for n <= 0."""
-    if n <= 0:
-        return _ZERO
-    return _poly((1,) * n)
 
 
 def _binom2(x: int) -> int:
@@ -333,35 +325,27 @@ class SfCoefficientTable(_PackedRecursion):
         super()._restart(w)
         self.factors, self.binomials = {}, _QBinomial()
 
-    def coefficient(self, n: int, k: int, l: int, mu: tuple) -> QPolynomial:
-        if n == 0:
-            return _ONE if (k, l) == (0, 0) else _ZERO
-        if n < 0 or k < 0 or l < 0 or k + l >= n:
-            return _ZERO
-        return self._get((n, k, l, mu) if k <= l else (n, l, k, mu), n)
-
-    @staticmethod
-    def _children(key: tuple) -> list:
+    def _terms(self, key: tuple) -> list:
+        """The sub-keys (m, k - r, l - a, rest) inside the cells of size m,
+        each weighted by its packed F(B, j, r, a)."""
         n, k, l, mu = key
         j = mu[-1]  # multiplicity of the largest letter (mu sorted descending)
-        m, rest = n - j, mu[:-1]
-        return [(m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest)
-                for k2 in range(max(0, k - j), k + 1)
-                for l2 in range(max(0, l - j), min(l, m - 1 - k2) + 1)]
-
-    def _value(self, key: tuple) -> int:
-        n, k, l, mu = key
-        j = mu[-1]
-        m, rest = n - j, mu[:-1]
-        B, get, factors = n - k - l, self.packed.get, self.factors
-        total = 0
+        m, rest, B = n - j, mu[:-1], n - k - l
+        top, factors, terms = max(m, 1), self.factors, []
         for r in range(min(j, k) + 1):
             for a in range(min(j, l) + 1):
                 k2, l2 = k - r, l - a
-                sub = get((m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest))
-                if sub:
+                if k2 + l2 < top:
                     F = factors.get((B, j, r, a))
-                    total += (self._factor(B, j, r, a) if F is None else F) * sub
+                    if F is None:
+                        F = self._factor(B, j, r, a)
+                    terms.append(((m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest), F))
+        return terms
+
+    def _value(self, key: tuple, terms: list) -> int:
+        packed, total = self.packed, 0
+        for sub, F in terms:
+            total += F * packed[sub]
         return total
 
     def _factor(self, B: int, j: int, r: int, a: int) -> int:
@@ -491,9 +475,11 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
         raise ValueError("content %r does not sum to n=%d" % (tuple(mu), n))
     if n > 0 and k + l >= n:
         raise ValueError("sf_h_coefficient requires k+l < n (got n=%d, k=%d, l=%d)" % (n, k, l))
+    if n == 0:
+        return _ONE if (k, l) == (0, 0) else _ZERO
     if table is None:
         table = _DEFAULT_TABLE
-    return table.coefficient(n, k, l, key)
+    return table._get((n, k, l, key) if k <= l else (n, l, k, key), n)
 
 
 class _StandardCount(_PackedRecursion):
@@ -509,26 +495,31 @@ class _StandardCount(_PackedRecursion):
     def __call__(self, n: int, k: int, l: int) -> QPolynomial:
         if not (type(n) is type(k) is type(l) is int):
             raise ValueError("n, k, l must be ints, got %r" % ((n, k, l),))
-        if n == 0:
-            return _ONE if (k, l) == (0, 0) else _ZERO
-        if n < 0 or k < 0 or l < 0 or k + l >= n:
+        if n < 0 or k < 0 or l < 0 or k + l >= max(n, 1):  # outside the cells of size n
             return _ZERO
         return self._get((n, k, l) if k <= l else (n, l, k), n)
 
     _width = staticmethod(_count_slot)
 
     @staticmethod
-    def _children(key: tuple) -> list:
+    def _terms(key: tuple) -> list:
+        """Each (k - dk, l - dl), dk, dl in {0, 1}, that is a cell of size n - 1,
+        under its k <= l key and of weight 1: (k, l - 1) is out of order only
+        when k = l, and then it is (k - 1, l), listed twice."""
         n, k, l = key
-        # (k, l - 1) is out of order only when k = l, and then it is (k - 1, l)
-        return [(n - 1, k2, l2) for k2 in (k - 1, k) for l2 in (l - 1, l)
-                if 0 <= k2 <= l2 and k2 + l2 < n - 1]
+        m = n - 1
+        top, terms = max(m, 1), []
+        for k2, l2 in ((k, l), (k, l - 1) if k < l else (k - 1, l), (k - 1, l), (k - 1, l - 1)):
+            if k2 >= 0 and k2 + l2 < top:
+                terms.append(((m, k2, l2), 1))
+        return terms
 
-    def _value(self, key: tuple) -> int:
+    def _value(self, key: tuple, terms: list) -> int:
         n, k, l = key
-        get = self.packed.get
-        rest = (get((n - 1, k, l), 0) + get((n - 1, k, l - 1) if k < l else (n - 1, k - 1, l), 0)
-                + get((n - 1, k - 1, l), 0) + get((n - 1, k - 1, l - 1), 0))
+        packed, subs = self.packed, iter(terms)
+        rest = packed[next(subs)[0]]  # not 0 + ...: that would copy the first int
+        for sub, _ in subs:
+            rest += packed[sub]
         # times [B]_q, B = n - k - l, by doubling along the bits of B: [2m]_q =
         # [m]_q (1 + q^m) and [m + 1]_q = 1 + q [m]_q, so O(log B) shifts and
         # adds of rest-sized ints, where a division by 2^(8w) - 1 costs per digit

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import PEAK, SegmentedSmirnovWord, letter_content, occurrence_roles, set_sequences
+from .words import PEAK, SegmentedSmirnovWord, occurrence_roles
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,6 @@ class OrderedMultisetPartition:
     def r(self) -> int:
         return len(self.blocks)
 
-    def content(self) -> tuple:
-        return letter_content([x for blk in self.blocks for x in blk])
-
     def require_set_blocks(self) -> None:
         for blk in self.blocks:
             if len(set(blk)) != len(blk):
@@ -284,11 +281,3 @@ def omp_dinv(p: OrderedMultisetPartition) -> int:
                 total += sum(1 for h in range(len(bj))
                              if len(bi) > h + 1 and bi[h + 1] > bj[h])
     return total
-
-
-def enumerate_omp(mu: Sequence[int], r: int = None):
-    """Ordered set partitions of the multiset with content mu (blocks are sets);
-    optionally restricted to r blocks."""
-    for blocks in set_sequences(mu):
-        if r is None or len(blocks) == r:
-            yield OrderedMultisetPartition(blocks)

@@ -17,10 +17,9 @@ from typing import Callable, List, NamedTuple
 from . import models, paths, quasisym
 from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coefficient,
                       standard_q_count, stat_distributions)
-from .stats import (enumerate_omp, omp_dinv, omp_inv, project,
-                    sdinv_count, sminv, sminv_count)
+from .stats import omp_dinv, omp_inv, project, sdinv_count, sminv, sminv_count
 from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
-                    shapes_for, words_of_length)
+                    set_sequences, shapes_for, words_of_length)
 
 
 @dataclass(frozen=True)
@@ -232,8 +231,8 @@ def _case_projection_mu(mu: tuple) -> str:
     for w in enumerate_words(mu):
         by_kl.setdefault((len(w.ascent_positions()), len(w.descent_positions())), []).append(w)
     ops: dict = {}  # OP(mu), the ordered set partitions of content mu, by block count
-    for op in enumerate_omp(mu):
-        ops.setdefault(op.r, set()).add(op.blocks)
+    for blocks in set_sequences(mu):
+        ops.setdefault(len(blocks), set()).add(blocks)
     for (k, l), words in sorted(by_kl.items()):
         # l = 0 projects onto OP(mu, n - k) with sdinv -> dinv, k = 0 onto
         # OP(mu, n - l) with sdinv -> inv; sminv goes to inv in both

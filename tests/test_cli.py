@@ -214,9 +214,9 @@ class TestVerify:
 
     def test_projection_compares_with_each_block_count(self, monkeypatch):
         # OP((1, 1, 1)) without one of its 2-block partitions
-        real = verify.enumerate_omp
-        monkeypatch.setattr(verify, "enumerate_omp", lambda mu: (
-            p for p in real(mu) if p.blocks != ((1, 2), (3,))))
+        real = verify.set_sequences
+        monkeypatch.setattr(verify, "set_sequences", lambda mu: (
+            blocks for blocks in real(mu) if blocks != ((1, 2), (3,))))
         assert verify._case_projection_mu((1, 1, 1)) == \
             "projection at k=0 l=1 not bijective onto OP(mu, 2)"
 

@@ -164,6 +164,11 @@ class TestNoncrossing:
         p = NoncrossingPartition(((1,), (2,), (3,)))
         assert noncrossing_to_permutation(p) == (1, 2, 3)
 
+    @pytest.mark.parametrize("blocks", [((1.0,),), ((True,),), ((1, "a"),), ((2, 1), (0,))])
+    def test_elements_must_be_positive_ints(self, blocks):
+        with pytest.raises(ValueError, match="^block elements must be positive integers$"):
+            NoncrossingPartition(blocks)
+
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
             NoncrossingPartition(((1, 3), (2, 4)))

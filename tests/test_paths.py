@@ -157,6 +157,12 @@ class TestBlockForm:
          "the first column cannot be a decorated valley"),
         # bool is a subclass of int, but not a label
         ((((True, 2), False),), "labels must be positive integers"),
+        # a column is a (labels, flag) pair
+        ((5,), "column 1 must be a (labels, flag) pair, got 5"),
+        (((5, False),), "column 1 must be a (labels, flag) pair, got (5, False)"),
+        ((((1,), False), ((2,), False, 3)),
+         "column 2 must be a (labels, flag) pair, got ((2,), False, 3)"),
+        ((((3, 2), False), ((1,),)), "column 1 labels must strictly increase"),
     ])
     def test_validation_messages(self, columns, message):
         with pytest.raises(ValueError) as exc:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import smirnov
 from smirnov import qengine
 from smirnov.qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum,
-                             hilbert_table, q_binomial, q_int, sf_h_coefficient,
+                             hilbert_table, q_binomial, sf_h_coefficient,
                              standard_q_count, stat_distributions)
 from smirnov.stats import sdinv_count, sminv_count
 from smirnov.words import enumerate_words, partitions_of
@@ -225,6 +225,18 @@ class TestQBinomial:
             assert q_binomial(a, b) == q_binomial(a, a - b)
             assert q_binomial(a, b)(1) == math.comb(a, b)
 
+    def test_slots_are_as_wide_as_the_binomial_coefficient(self):
+        # [a choose b] has coefficients summing to C(a, b), so an edge, where
+        # C(a, b) = 1, needs 1-byte slots whatever a is and widens nothing
+        q_binomial.cache_clear()
+        try:
+            assert q_binomial(500, 1) == QPolynomial((1,) * 500)
+            assert q_binomial.w == 2  # C(500, 1) < 2^16
+            assert q_binomial(10 ** 6, 0) == q_binomial(10 ** 6, 10 ** 6) == 1
+            assert q_binomial.w == 2
+        finally:
+            q_binomial.cache_clear()
+
     def test_deep_arguments_need_no_deep_stack(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(smirnov.__file__)))
         env = dict(os.environ)
@@ -244,11 +256,6 @@ class TestQBinomial:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-
-    def test_q_int(self):
-        assert q_int(4) == QPolynomial((1, 1, 1, 1))
-        assert q_int(0) == 0
-        assert q_int(-3) == 0
 
 
 # float, str and bool sizes; a negative size is an error for hilbert_table only
@@ -351,6 +358,32 @@ class TestRecursion:
         assert table.cache_info() == (mirrored, len(table.memo), None, len(table.memo))
         assert sf_h_coefficient(8, 3, 1, (4, 4), table) is table.memo[8, 1, 3, (4, 4)]
 
+    @pytest.mark.parametrize("name", ["sf_h_coefficient", "standard_q_count", "q_binomial"])
+    def test_a_sub_key_left_unfilled_is_an_error(self, name, monkeypatch):
+        # each _value reads `packed` at exactly the sub-keys its _terms listed,
+        # so a fill that computes only the queried key raises on the first of
+        # them instead of reading a missing key as 0 or 1
+        table = SfCoefficientTable()
+        fn, key, query = {
+            "sf_h_coefficient": (table, (4, 1, 1, (2, 1, 1)),
+                                 lambda: sf_h_coefficient(4, 1, 1, (2, 1, 1), table)),
+            "standard_q_count": (standard_q_count, (5, 1, 2), lambda: standard_q_count(5, 1, 2)),
+            "q_binomial": (q_binomial, (6, 3), lambda: q_binomial(6, 3))}[name]
+        real = qengine._fill
+
+        def only_top(packed, top, terms, value):
+            if value.__self__ is not fn:  # the table's own q-binomials are filled in full
+                return real(packed, top, terms, value)
+            packed[top] = value(top, terms(top))
+        monkeypatch.setattr(qengine, "_fill", only_top)
+        fn.cache_clear()
+        try:
+            with pytest.raises(KeyError) as exc:
+                query()
+            assert exc.value.args[0] == fn._terms(key)[0][0]
+        finally:
+            fn.cache_clear()
+
     def test_sub_key_is_served_from_packed_without_a_fill(self, monkeypatch):
         table = SfCoefficientTable()
         sf_h_coefficient(7, 2, 1, (3, 2, 1, 1), table)
@@ -452,7 +485,8 @@ class TestRecursion:
         table = SfCoefficientTable()
         for fn, query, args in ((standard_q_count, standard_q_count, (6, 1, 2)),
                                 (q_binomial, q_binomial, (7, 3)),
-                                (table, table.coefficient, (5, 1, 1, (2, 2, 1)))):
+                                (table, functools.partial(sf_h_coefficient, table=table),
+                                 (5, 1, 1, (2, 2, 1)))):
             query(*args)
             assert fn.cache_info().currsize and len(fn.packed) > len(type(fn).SEED)
             fn.cache_clear()
@@ -470,11 +504,11 @@ class TestRecursion:
         table, memo = SfCoefficientTable(), {}
         for mu in partitions_of(8):
             for k, l in qengine.cells(8):
-                table.coefficient(8, k, l, mu)
+                sf_h_coefficient(8, k, l, mu, table)
         table.cache_clear()
         for mu in partitions_of(4):
             for k, l in qengine.cells(4):
-                assert table.coefficient(4, k, l, mu).coeffs == \
+                assert sf_h_coefficient(4, k, l, mu, table).coeffs == \
                     _old_coefficient(4, k, l, mu, memo), (mu, k, l)
         assert table.w == qengine._count_slot(4)
 

@@ -6,10 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from smirnov.stats import (OrderedMultisetPartition, enumerate_omp, omp_dinv, omp_inv,
-                           project, sdinv, sdinv_count, sminv, sminv_count)
-from smirnov.words import (EMPTY_WORD, PEAK, classify, enumerate_words,
-                           occurrence_roles, parse_word, words_of_length)
+from smirnov.stats import (OrderedMultisetPartition, omp_dinv, omp_inv, project, sdinv,
+                           sdinv_count, sminv, sminv_count)
+from smirnov.words import (EMPTY_WORD, PEAK, classify, enumerate_words, occurrence_roles,
+                           parse_word, set_sequences, words_of_length)
 
 from test_words import initial_positions, words
 
@@ -265,12 +265,12 @@ class TestOrderedMultisetPartitions:
         assert omp_dinv(OrderedMultisetPartition(((1,), (2,)))) == 0
         assert omp_dinv(OrderedMultisetPartition(((1, 2, 3),))) == 0
 
-    def test_enumerate_omp_counts(self):
+    def test_ordered_set_partition_counts(self):
         # ordered set partitions of {1,2,3} into 2 blocks: 6 of them
-        assert len(list(enumerate_omp((1, 1, 1), 2))) == 6
+        assert sum(len(blocks) == 2 for blocks in set_sequences((1, 1, 1))) == 6
         # repeated letters may not share a block
-        for p in enumerate_omp((2, 1)):
-            for block in p.blocks:
+        for blocks in set_sequences((2, 1)):
+            for block in blocks:
                 assert len(set(block)) == len(block)
 
     @pytest.mark.parametrize("mu,k", [((1, 1, 1), 1), ((2, 1), 0), ((2, 2), 1)])
@@ -284,4 +284,4 @@ class TestOrderedMultisetPartitions:
             assert sminv_count(w) == omp_inv(p)
             assert sdinv_count(w) == omp_dinv(p)
             seen.add(p.blocks)
-        assert seen == {p.blocks for p in enumerate_omp(mu, n - k)}
+        assert seen == {blocks for blocks in set_sequences(mu) if len(blocks) == n - k}

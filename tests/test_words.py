@@ -468,10 +468,10 @@ class TestSetSequences:
         code = textwrap.dedent("""
             import sys
             from smirnov.paths import enumerate_area0
-            from smirnov.stats import enumerate_omp
+            from smirnov.words import set_sequences
             sys.setrecursionlimit(100)
             mu = (1,) * 1200
-            print(len(next(enumerate_area0(mu)).columns), len(next(enumerate_omp(mu)).blocks))
+            print(len(next(enumerate_area0(mu)).columns), len(next(set_sequences(mu))))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
