@@ -8,9 +8,14 @@ appear even under pytest's output capture; run
 `pytest tests/test_acceptance.py -v` for the full detail.
 """
 
+import hashlib
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from smirnov import verify
+from smirnov.cli import main
 from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv
 from smirnov.qengine import QPolynomial, enumerative_q_sum
 from smirnov.quasisym import split_set, standardize
@@ -164,3 +169,28 @@ def test_every_suite_case_belongs_to_one_criterion(suite_cases):
             assert len(owners) == 1, (case.key, owners)
     for number, (_, _, count) in CRITERIA.items():
         assert len(criterion_cases(suite_cases, number)) == count, number
+
+
+# SHA-256 of the answers: the CSV of two `smirnov table` runs, and the sorted
+# [key, status] pairs of `smirnov verify --suite all --json` at default bounds.
+# A change to any answer is then an explained edit of a constant here.
+TABLE_DIGESTS = {
+    ("h-coeff", 12): "e52da8d75450018455bcc17d41980bcd767b3417aa27b6f89df4bcb10fa65063",
+    ("hilbert", 30): "848c77baabccc6e2db4f2d1526a074916f1809bb7d3fbc7dc3b280d2a1964983",
+}
+CASE_DIGEST = "006e0608a598b089123b662989bed284ef19a61977a5adc7ef1a058b332ae232"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_answer_digests(suite_cases):
+    for (kind, n), digest in TABLE_DIGESTS.items():
+        result = CliRunner().invoke(main, ["table", "--kind", kind, "--n", str(n),
+                                           "--format", "csv"])
+        assert result.exit_code == 0 and _sha256(result.output) == digest, (kind, n)
+    keys = sorted([c.key, "pass" if c.ok else "fail"]
+                  for suite in verify.SUITES for c in suite_cases(suite))
+    assert len(keys) == 221 and all(status == "pass" for _, status in keys)
+    assert _sha256(json.dumps(keys)) == CASE_DIGEST
