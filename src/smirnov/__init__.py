@@ -3,12 +3,12 @@ labelled Dyck paths, with an exact q-polynomial recursion engine."""
 
 from .paths import (AreaZeroDecoratedPath, DecoratedLabelledDyckPath, area, area_word,
                     enumerate_area0, path_dinv, phi, phi_inverse, unified_dinv)
-from .qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum, hilbert_table,
-                      q_binomial, sf_h_coefficient, standard_q_count)
+from .qengine import (QPolynomial, SfCoefficientTable, hilbert_table, q_binomial,
+                      sf_h_coefficient, standard_q_count)
 from .quasisym import (FundamentalTerm, expand_to_monomials, fundamental_expansion,
                        split_set, standardize)
-from .stats import (InversionReport, OrderedMultisetPartition, omp_dinv, omp_inv,
-                    project, sdinv, sdinv_count, sminv, sminv_count)
+from .stats import (InversionReport, OrderedMultisetPartition, enumerative_q_sum,
+                    omp_dinv, omp_inv, project, sdinv, sdinv_count, sminv, sminv_count)
 from .words import (PositionProfile, SegmentedSmirnovWord, classify, enumerate_words,
                     enumerate_words_by_stat, parse_word)
 

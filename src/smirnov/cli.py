@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from . import paths, qengine, verify, words
+from . import paths, qengine, stats, verify, words
 
 
 def _parse_mu(text: str) -> tuple:
@@ -60,8 +60,6 @@ def cmd_enumerate(mu, k, l, kind, fmt):
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 def cmd_stat(word_text, stat_name, as_json):
     """Compute a statistic of one word, with its inversion pairs and case tags."""
-    from . import stats
-
     try:
         w = words.parse_word(word_text)
     except ValueError as exc:

@@ -17,6 +17,7 @@ from functools import cached_property
 from operator import lt
 from typing import Iterator, Sequence
 
+from .stats import sdinv_count
 from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, letter_content,
                     occurrence_roles, set_sequences)
 
@@ -326,7 +327,6 @@ def phi_inverse(D: AreaZeroDecoratedPath) -> SegmentedSmirnovWord:
 
 def unified_dinv(D: AreaZeroDecoratedPath) -> int:
     """The unified statistic: sdinv of the preimage word."""
-    from .stats import sdinv_count
     return sdinv_count(phi_inverse(D))
 
 

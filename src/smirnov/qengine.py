@@ -466,7 +466,7 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
 
     Requires k + l < n (or n = 0): the underlying symmetric function is only
     defined with at least one block.  The combinatorial sum for k + l >= n is
-    genuinely zero and is available via enumerative_q_sum.
+    genuinely zero and is available via stats.enumerative_q_sum.
     """
     if not (type(n) is type(k) is type(l) is int) or n < 0 or k < 0 or l < 0:
         raise ValueError("n, k, l must be nonnegative ints, got %r" % ((n, k, l),))
@@ -534,38 +534,6 @@ class _StandardCount(_PackedRecursion):
 
 
 standard_q_count = _StandardCount()
-
-
-def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") -> QPolynomial:
-    """Exact sum of q^stat(w) over all words of content mu with k ascents, l descents."""
-    from .stats import sdinv_count, sminv_count
-    from .words import enumerate_words
-
-    if stat == "sminv":
-        fn = sminv_count
-    elif stat == "sdinv":
-        fn = sdinv_count
-    else:
-        raise ValueError("unknown statistic %r" % (stat,))
-    [dist] = stat_distributions(enumerate_words(mu), fn)
-    return dist.get((k, l), _ZERO)
-
-
-def _ascents_descents(w) -> tuple:
-    """(k, l): the ascent and descent counts of a word."""
-    return len(w.ascent_positions()), len(w.descent_positions())
-
-
-def stat_distributions(words: Iterable, *stat_fns, key=_ascents_descents) -> list:
-    """For each statistic, the map key(w) -> QPolynomial of q^stat over the
-    words w; one pass over the words serves them all."""
-    buckets = [{} for _ in stat_fns]
-    for w in words:
-        group = key(w)
-        for bucket, stat_fn in zip(buckets, stat_fns):
-            bucket.setdefault(group, collections.Counter())[stat_fn(w)] += 1
-    return [{key: histogram_poly(counts) for key, counts in bucket.items()}
-            for bucket in buckets]
 
 
 def histogram_poly(counts: dict) -> QPolynomial:

@@ -7,10 +7,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from .qengine import QPolynomial, stat_distributions
-from .stats import _block_starts, sminv_count
-from .words import (FALL, SegmentedSmirnovWord, enumerate_words_by_stat, letter_content,
-                    occurrence_roles, words_of_length)
+from .qengine import QPolynomial
+from .stats import sminv_count, stat_distributions
+from .words import (FALL, SegmentedSmirnovWord, block_starts, enumerate_words_by_stat,
+                    letter_content, occurrence_roles, words_of_length)
 
 
 def standardize(w: SegmentedSmirnovWord) -> SegmentedSmirnovWord:
@@ -34,7 +34,7 @@ def split_set(sigma: SegmentedSmirnovWord) -> frozenset:
     if sorted(letters) != list(range(1, n + 1)):
         raise ValueError("split_set requires a segmented permutation")
     codes = occurrence_roles(sigma)
-    starts = _block_starts(sigma)
+    starts = block_starts(sigma)
     pos = [0] * (n + 1)  # pos[v]: the 0-based position of v
     for i, v in enumerate(letters):
         pos[v] = i

@@ -1,12 +1,16 @@
-"""The q-statistics sminv and sdinv, and the projection to ordered multiset
-partitions with the classical inv/dinv."""
+"""The q-statistics sminv and sdinv, their q-distributions over a set of
+words, and the projection to ordered multiset partitions with the classical
+inv/dinv."""
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .words import PEAK, SegmentedSmirnovWord, occurrence_roles
+from .qengine import QPolynomial, histogram_poly
+from .words import (PEAK, SegmentedSmirnovWord, ascents_descents, block_starts,
+                    enumerate_words, occurrence_roles)
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ def sminv(w: SegmentedSmirnovWord) -> InversionReport:
     """
     letters = w.letters
     n = len(letters)
-    starts = _block_starts(w)
+    starts = block_starts(w)
     cols = []  # cols[j - 2]: (j + 1, w_j, w_{j-1}, tags when w_{j-1} < w_i, > w_i, = w_i)
     for j in range(2, n):
         p = letters[j - 1]
@@ -67,16 +71,6 @@ def sminv(w: SegmentedSmirnovWord) -> InversionReport:
                 if tags:
                     pairs.append((i + 1, j1, tags))
     return InversionReport(tuple(pairs))
-
-
-def _block_starts(w: SegmentedSmirnovWord) -> list:
-    """starts[i] is True when 0-based position i begins a block."""
-    starts = [False] * w.n
-    pos = 0
-    for part in w.shape:
-        starts[pos] = True
-        pos += part
-    return starts
 
 
 def _sminv_tally(letters: Sequence[int], starts: list) -> list:
@@ -108,7 +102,7 @@ def _sminv_tally(letters: Sequence[int], starts: list) -> list:
 
 def sminv_count(w: SegmentedSmirnovWord) -> int:
     """len(sminv(w).pairs), without building the tagged report."""
-    return sum(_sminv_tally(w.letters, _block_starts(w)))
+    return sum(_sminv_tally(w.letters, block_starts(w)))
 
 
 def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
@@ -131,7 +125,7 @@ def sdinv(w: SegmentedSmirnovWord) -> InversionReport:
     """
     letters = w.letters
     n = len(letters)
-    starts = _block_starts(w)
+    starts = block_starts(w)
     heights = [0] * n  # heights[k]: height_{w_k}(k)
     lows = {}  # lows[m]: (j, height_m(j), reset) for each j with w_j < m, in order
     positions = list(zip(range(n), letters, starts))  # walked once per letter
@@ -186,7 +180,7 @@ def sdinv_count(w: SegmentedSmirnovWord) -> int:
     """
     letters = w.letters
     n = len(letters)
-    starts = _block_starts(w)
+    starts = block_starts(w)
     peaks = [code == PEAK for code in occurrence_roles(w)]
     total = 0
     if any(peaks):
@@ -218,6 +212,30 @@ def sdinv_count(w: SegmentedSmirnovWord) -> int:
                 tops[run] += 1
             prev = letter
     return total
+
+
+def stat_distributions(words: Iterable, *stat_fns, key=ascents_descents) -> list:
+    """For each statistic, the map key(w) -> QPolynomial of q^stat over the
+    words w; one pass over the words serves them all."""
+    buckets = [{} for _ in stat_fns]
+    for w in words:
+        group = key(w)
+        for bucket, stat_fn in zip(buckets, stat_fns):
+            bucket.setdefault(group, collections.Counter())[stat_fn(w)] += 1
+    return [{key: histogram_poly(counts) for key, counts in bucket.items()}
+            for bucket in buckets]
+
+
+def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") -> QPolynomial:
+    """Exact sum of q^stat(w) over all words of content mu with k ascents, l descents."""
+    if stat == "sminv":
+        fn = sminv_count
+    elif stat == "sdinv":
+        fn = sdinv_count
+    else:
+        raise ValueError("unknown statistic %r" % (stat,))
+    [dist] = stat_distributions(enumerate_words(mu), fn)
+    return dist.get((k, l), QPolynomial.zero())
 
 
 @dataclass(frozen=True)

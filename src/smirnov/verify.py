@@ -16,10 +16,11 @@ from typing import Callable, List, NamedTuple
 
 from . import models, paths, quasisym
 from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coefficient,
-                      standard_q_count, stat_distributions)
-from .stats import omp_dinv, omp_inv, project, sdinv_count, sminv, sminv_count
-from .words import (SegmentedSmirnovWord, enumerate_words, insert_many, partitions_of,
-                    set_sequences, shapes_for, words_of_length)
+                      standard_q_count)
+from .stats import (omp_dinv, omp_inv, project, sdinv_count, sminv, sminv_count,
+                    stat_distributions)
+from .words import (SegmentedSmirnovWord, ascents_descents, enumerate_words, insert_many,
+                    partitions_of, set_sequences, shapes_for, words_of_length)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _case_bijection_mu(mu: tuple) -> str:
     images = {}
     for w in enumerate_words(mu):
         D = paths.phi(w)
-        k, l = len(w.ascent_positions()), len(w.descent_positions())
+        k, l = ascents_descents(w)
         if D.content() != w.content() or D.rise_count() != k or D.valley_count() != l:
             return "decorations not transported for %s" % w
         if paths.phi_inverse(D) != w:
@@ -229,7 +230,7 @@ def _case_projection_mu(mu: tuple) -> str:
     n = sum(mu)
     by_kl: dict = {}
     for w in enumerate_words(mu):
-        by_kl.setdefault((len(w.ascent_positions()), len(w.descent_positions())), []).append(w)
+        by_kl.setdefault(ascents_descents(w), []).append(w)
     ops: dict = {}  # OP(mu), the ordered set partitions of content mu, by block count
     for blocks in set_sequences(mu):
         ops.setdefault(len(blocks), set()).add(blocks)

@@ -161,6 +161,21 @@ def occurrence_roles(w: SegmentedSmirnovWord) -> list:
     return codes
 
 
+def block_starts(w: SegmentedSmirnovWord) -> list:
+    """starts[i] is True when 0-based position i begins a block."""
+    starts = [False] * w.n
+    pos = 0
+    for part in w.shape:
+        starts[pos] = True
+        pos += part
+    return starts
+
+
+def ascents_descents(w: SegmentedSmirnovWord) -> tuple:
+    """(k, l): the ascent and descent counts of a word."""
+    return len(w.ascent_positions()), len(w.descent_positions())
+
+
 _ROLE_NAMES = ("peak", "double_rise", "double_fall", "valley")  # by role code
 
 

@@ -17,9 +17,9 @@ from click.testing import CliRunner
 from smirnov import verify
 from smirnov.cli import main
 from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv
-from smirnov.qengine import QPolynomial, enumerative_q_sum
+from smirnov.qengine import QPolynomial
 from smirnov.quasisym import split_set, standardize
-from smirnov.stats import sdinv, sminv
+from smirnov.stats import enumerative_q_sum, sdinv, sminv
 from smirnov.words import enumerate_words, parse_word
 from smirnov.models import (NoncrossingPartition, noncrossing_to_permutation,
                             polyomino_to_word, smirnov_to_polyomino)

@@ -16,8 +16,8 @@ from smirnov.models import (LabelledPolyomino, NoncrossingPartition, catalan,
                             noncrossing_to_permutation, permutation_to_noncrossing,
                             polyomino_to_word, single_block_words,
                             smirnov_to_polyomino)
-from smirnov.qengine import enumerative_q_sum, sf_h_coefficient
-from smirnov.stats import sminv_count
+from smirnov.qengine import sf_h_coefficient
+from smirnov.stats import enumerative_q_sum, sminv_count
 from smirnov.words import SegmentedSmirnovWord, parse_word, partitions_of
 
 

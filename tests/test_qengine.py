@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 import smirnov
 from smirnov import qengine
-from smirnov.qengine import (QPolynomial, SfCoefficientTable, enumerative_q_sum,
-                             hilbert_table, q_binomial, sf_h_coefficient,
-                             standard_q_count, stat_distributions)
-from smirnov.stats import sdinv_count, sminv_count
+from smirnov.qengine import (QPolynomial, SfCoefficientTable, hilbert_table, q_binomial,
+                             sf_h_coefficient, standard_q_count)
+from smirnov.stats import enumerative_q_sum, sdinv_count, sminv_count, stat_distributions
 from smirnov.words import enumerate_words, partitions_of
 
 polys = st.lists(st.integers(min_value=0, max_value=50), max_size=6).map(QPolynomial)

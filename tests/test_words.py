@@ -433,6 +433,40 @@ class TestDepthFirst:
                     found.append("%s:%d %s" % (path.name, node.lineno, node.name))
         assert not found, found
 
+    def test_import_graph(self):
+        # the package modules each module imports: words, then qengine, then
+        # stats, then paths, quasisym and models; verify, cli and __init__ may
+        # import any.  A function body imports no package module.
+        graph = {"words": set(), "qengine": set(), "stats": {"words", "qengine"},
+                 "paths": {"words", "stats"}, "quasisym": {"words", "stats", "qengine"},
+                 "models": {"words"}, "verify": None, "cli": None, "__init__": None}
+        found = []
+        for path in sorted(pathlib.Path(smirnov.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            top, local = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    if not node.level:
+                        if module.split(".")[0] != "smirnov":
+                            continue
+                        module = module[len("smirnov."):]
+                    names = ([module.split(".")[0]] if module
+                             else [alias.name for alias in node.names])
+                elif isinstance(node, ast.Import):
+                    names = [alias.name.split(".")[1] for alias in node.names
+                             if alias.name.startswith("smirnov.")]
+                else:
+                    continue
+                (top if node in tree.body else local).update(names)
+            assert path.stem in graph, "%s has no place in the import graph" % path.name
+            if local:
+                found.append("%s imports %s below its top level" % (path.name, sorted(local)))
+            if graph[path.stem] is not None and top != graph[path.stem]:
+                found.append("%s imports %s, not %s"
+                             % (path.name, sorted(top), sorted(graph[path.stem])))
+        assert not found, found
+
     def test_every_export_resolves(self):
         # a name left in __all__ after its definition is gone breaks `import *`
         namespace = {}
