@@ -67,10 +67,9 @@ class LabelledPolyomino:
             raise ValueError("paths must share their endpoints")
         if labelled_cells(up, lo) != [cell[:2] for cell in labels]:
             raise ValueError("labels must cover exactly the labelled cells")
-        if _paths_touch(up, lo):
-            raise ValueError("upper path must stay strictly above the lower path")
-        if _lower_above(up, lo):
-            raise ValueError("upper path must stay above the lower path")
+        fault = _gap_fault(up, lo)
+        if fault:
+            raise ValueError(fault)
         by_cell = {cell[:2]: cell[2] for cell in labels}
         for (col, row), value in by_cell.items():
             if (col, row + 1) in by_cell and by_cell[(col, row + 1)] <= value:
@@ -119,22 +118,20 @@ def region_cells(upper: str, lower: str) -> List[tuple]:
     return [(x, y) for x in range(width) for y in range(ly[x], uy[x])]
 
 
-def _paths_touch(upper: str, lower: str) -> bool:
-    """Two paths with the same endpoints share a vertex besides them: after
-    some k steps, 0 < k < their length, both have taken as many north steps."""
-    gap = 0
-    for u, l in zip(upper[:-1], lower[:-1]):
-        gap += (u == "N") - (l == "N")
-        if gap == 0:
-            return True
-    return False
+def _gap_fault(upper: str, lower: str) -> str:
+    """Why the upper path does not stay strictly above the lower one, or "".
 
-
-def _lower_above(upper: str, lower: str) -> bool:
-    """The lower path runs above the upper path over some strip."""
-    width = upper.count("E")
-    return any(u < l for u, l in zip(_strip_heights(upper, width),
-                                     _strip_heights(lower, width)))
+    The gap after k steps, 0 < k < their length, is the upper path's north
+    steps less the lower path's.  A gap of 0 is a vertex the paths share
+    besides their ends; a negative gap means the lower path runs above the
+    upper one over some strip."""
+    gaps = set(itertools.accumulate((u == "N") - (l == "N")
+                                    for u, l in zip(upper[:-1], lower[:-1])))
+    if 0 in gaps:
+        return "upper path must stay strictly above the lower path"
+    if min(gaps, default=0) < 0:
+        return "upper path must stay above the lower path"
+    return ""
 
 
 def _area_zero(upper: str, lower: str) -> bool:
@@ -190,8 +187,7 @@ def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator
     paths = ["".join("N" if i in north else "E" for i in range(size))
              for north in map(set, itertools.combinations(range(size), height))]
     for upper, lower in itertools.product(paths, repeat=2):
-        if (upper == lower or _paths_touch(upper, lower) or _lower_above(upper, lower)
-                or not _area_zero(upper, lower)):
+        if upper == lower or _gap_fault(upper, lower) or not _area_zero(upper, lower):
             continue
         cells = labelled_cells(upper, lower)
         for values in _labelings(cells, bound):
@@ -250,7 +246,11 @@ class NoncrossingPartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
+        try:
+            blocks = tuple(map(tuple, self.blocks))
+        except TypeError:  # blocks, or one of them, is not iterable
+            raise ValueError("blocks must be a collection of blocks of positive integers, "
+                             "got %r" % (self.blocks,)) from None
         for blk in blocks:  # before the sort, which would compare the elements
             if not all(type(x) is int and x >= 1 for x in blk):
                 raise ValueError("block elements must be positive integers")
