@@ -150,8 +150,13 @@ class AreaZeroDecoratedPath:
     columns: tuple
 
     def __post_init__(self):
+        try:
+            columns = iter(self.columns)
+        except TypeError:
+            raise ValueError("columns must be a collection of (labels, flag) pairs, got %r"
+                             % (self.columns,)) from None
         cols = []
-        for c, column in enumerate(self.columns, start=1):
+        for c, column in enumerate(columns, start=1):
             try:
                 labels, flag = column
                 labels = tuple(labels)

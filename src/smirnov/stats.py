@@ -246,7 +246,11 @@ class OrderedMultisetPartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
+        try:
+            blocks = tuple(map(tuple, self.blocks))
+        except TypeError:  # blocks, or one of them, is not iterable
+            raise ValueError("blocks must be a collection of blocks of positive integers, "
+                             "got %r" % (self.blocks,)) from None
         for blk in blocks:  # before the sort, which would compare the elements
             if not blk:
                 raise ValueError("empty block in ordered multiset partition")

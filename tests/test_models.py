@@ -169,6 +169,13 @@ class TestNoncrossing:
         with pytest.raises(ValueError, match="^block elements must be positive integers$"):
             NoncrossingPartition(blocks)
 
+    @pytest.mark.parametrize("blocks", [5, [5]])
+    def test_blocks_must_be_iterable(self, blocks):
+        with pytest.raises(ValueError) as exc:
+            NoncrossingPartition(blocks)
+        assert str(exc.value) == ("blocks must be a collection of blocks of positive integers, "
+                                  "got %r" % (blocks,))
+
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
             NoncrossingPartition(((1, 3), (2, 4)))

@@ -163,6 +163,7 @@ class TestBlockForm:
         ((((1,), False), ((2,), False, 3)),
          "column 2 must be a (labels, flag) pair, got ((2,), False, 3)"),
         ((((3, 2), False), ((1,),)), "column 1 labels must strictly increase"),
+        (5, "columns must be a collection of (labels, flag) pairs, got 5"),
     ])
     def test_validation_messages(self, columns, message):
         with pytest.raises(ValueError) as exc:

@@ -254,6 +254,13 @@ class TestOrderedMultisetPartitions:
         with pytest.raises(ValueError, match="^block elements must be positive integers$"):
             OrderedMultisetPartition(blocks)
 
+    @pytest.mark.parametrize("blocks", [5, [5]])
+    def test_blocks_must_be_iterable(self, blocks):
+        with pytest.raises(ValueError) as exc:
+            OrderedMultisetPartition(blocks)
+        assert str(exc.value) == ("blocks must be a collection of blocks of positive integers, "
+                                  "got %r" % (blocks,))
+
     def test_inv_fixtures(self):
         assert omp_inv(OrderedMultisetPartition(((2,), (1,)))) == 1
         assert omp_inv(OrderedMultisetPartition(((1, 2, 3),))) == 0
