@@ -3,19 +3,24 @@
 
 These words are conjectured to be characterized as 231-avoiding permutations
 whose blocks carry letters smaller than every letter of the blocks to their
-right.  The script enumerates them exhaustively, checks the characterization,
-and prints the observed counts next to binomial(2n+1, n), which has been
-proposed as their count but does not match the observed values.  The observed
-counts do match binomial(2n-1, n-1), an index shift of the proposed formula;
-the numbers are reported, not asserted.
+right.  The script enumerates them exhaustively and checks the
+characterization.  Their count is the q^0 layer of the Hilbert table: the sum
+over the cells (k, l) of size n of the constant term of
+standard_q_count(n, k, l).  The script prints the observed count next to that
+sum, and next to binomial(2n+1, n), which has been proposed as the count but
+does not match, and binomial(2n-1, n-1), an index shift of it that does.  It
+exits with status 1 when an observed count differs from the Hilbert table's
+or the characterization fails.
 
 Usage: python scripts/zero_sminv_census.py [--n-max N]
 """
 
 import argparse
 import math
+import sys
 
 from smirnov.models import is_231_avoiding
+from smirnov.qengine import cells, standard_q_count
 from smirnov.stats import sminv_count
 from smirnov.words import enumerate_words
 
@@ -27,13 +32,15 @@ def block_increasing(w) -> bool:
                for i in range(len(blocks)) for j in range(i + 1, len(blocks)))
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=8)
     args = parser.parse_args()
 
-    print("%3s %10s %14s %16s %s"
-          % ("n", "observed", "binom(2n+1,n)", "binom(2n-1,n-1)", "characterization"))
+    print("%3s %10s %10s %14s %16s %s"
+          % ("n", "observed", "hilbert_q0", "binom(2n+1,n)", "binom(2n-1,n-1)",
+             "characterization"))
+    ok = True
     for n in range(1, args.n_max + 1):
         count = 0
         characterized = True
@@ -43,10 +50,13 @@ def main() -> None:
             if zero != predicted:
                 characterized = False
             count += zero
-        print("%3d %10d %14d %16d %s"
-              % (n, count, math.comb(2 * n + 1, n), math.comb(2 * n - 1, n - 1),
+        table = sum(standard_q_count(n, k, l)(0) for k, l in cells(n))
+        ok = ok and characterized and count == table
+        print("%3d %10d %10d %14d %16d %s"
+              % (n, count, table, math.comb(2 * n + 1, n), math.comb(2 * n - 1, n - 1),
                  "ok" if characterized else "FAILS"))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

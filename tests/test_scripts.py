@@ -26,6 +26,8 @@ def test_zero_sminv_census_is_characterized():
     rows = [line.split() for line in run_script("zero_sminv_census.py", "--n-max", "4")
             .splitlines()[1:]]
     assert [int(row[1]) for row in rows] == [1, 3, 10, 35]
+    # the q^0 layer of the Hilbert table counts them too
+    assert [int(row[2]) for row in rows] == [1, 3, 10, 35]
     assert all(row[-1] == "ok" for row in rows)
 
 
