@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence
@@ -16,6 +17,8 @@ from .words import SegmentedSmirnovWord, _depth_first, letter_content
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
     """Letter tuples of Smirnov words of length n over the alphabet 1..bound,
     in lexicographic order."""
+    n = operator.index(n)  # a walk to length 1.5 would never end
+
     def children(word):
         done = len(word) + 1 == n
         for x in range(1, bound + 1):
@@ -48,13 +51,10 @@ class LabelledPolyomino:
     labels: tuple  # sorted ((col, row, value), ...)
 
     def __post_init__(self):
-        triples = "each label must be a (col, row, value) triple, col and row integers"
-        try:
-            labels = tuple(map(tuple, self.labels))
-        except TypeError:  # labels, or one of them, is not iterable
-            raise ValueError(triples) from None
+        labels = tuple(map(tuple, self.labels))
         if not all(len(cell) == 3 and type(cell[0]) is type(cell[1]) is int for cell in labels):
-            raise ValueError(triples)
+            raise ValueError("each label must be a (col, row, value) triple, "
+                             "col and row integers")
         # the values are checked before the sort compares them
         if not all(type(cell[2]) is int and cell[2] >= 1 for cell in labels):
             raise ValueError("labels must be positive integers")
@@ -65,7 +65,7 @@ class LabelledPolyomino:
             raise ValueError("paths must be over {N, E}")
         if up.count("N") != lo.count("N") or up.count("E") != lo.count("E"):
             raise ValueError("paths must share their endpoints")
-        if labelled_cells(up, lo) != [cell[:2] for cell in labels]:
+        if _labelled_cells(up, lo) != [cell[:2] for cell in labels]:
             raise ValueError("labels must cover exactly the labelled cells")
         fault = _gap_fault(up, lo)
         if fault:
@@ -90,7 +90,7 @@ class LabelledPolyomino:
         return _area_zero(self.upper, self.lower)
 
 
-def labelled_cells(upper: str, lower: str) -> List[tuple]:
+def _labelled_cells(upper: str, lower: str) -> List[tuple]:
     """Sorted cells with an upper north step on the left or a lower east step below."""
     cells = set()
     x = y = 0
@@ -110,7 +110,7 @@ def labelled_cells(upper: str, lower: str) -> List[tuple]:
     return sorted(cells)
 
 
-def region_cells(upper: str, lower: str) -> List[tuple]:
+def _region_cells(upper: str, lower: str) -> List[tuple]:
     """All cells weakly between the two paths."""
     width = upper.count("E")
     uy = _strip_heights(upper, width)
@@ -136,7 +136,7 @@ def _gap_fault(upper: str, lower: str) -> str:
 
 def _area_zero(upper: str, lower: str) -> bool:
     """Every cell between the paths is a labelled cell."""
-    return set(region_cells(upper, lower)) == set(labelled_cells(upper, lower))
+    return set(_region_cells(upper, lower)) == set(_labelled_cells(upper, lower))
 
 
 def _strip_heights(path: str, width: int) -> list:
@@ -189,7 +189,7 @@ def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator
     for upper, lower in itertools.product(paths, repeat=2):
         if upper == lower or _gap_fault(upper, lower) or not _area_zero(upper, lower):
             continue
-        cells = labelled_cells(upper, lower)
+        cells = _labelled_cells(upper, lower)
         for values in _labelings(cells, bound):
             yield LabelledPolyomino(upper, lower,
                                     tuple((c, r, v) for (c, r), v in zip(cells, values)))
@@ -232,6 +232,8 @@ def is_231_avoiding(perm: Sequence[int]) -> bool:
 
 def catalan(n: int) -> int:
     """Independent oracle by the convolution recurrence."""
+    if n < 0:
+        raise ValueError("n must be nonnegative, got %r" % (n,))
     cs = [1]
     for _ in range(n):
         cs.append(sum(cs[i] * cs[-1 - i] for i in range(len(cs))))
@@ -246,12 +248,10 @@ class NoncrossingPartition:
     blocks: tuple
 
     def __post_init__(self):
-        try:
-            blocks = tuple(map(tuple, self.blocks))
-        except TypeError:  # blocks, or one of them, is not iterable
-            raise ValueError("blocks must be a collection of blocks of positive integers, "
-                             "got %r" % (self.blocks,)) from None
+        blocks = tuple(map(tuple, self.blocks))
         for blk in blocks:  # before the sort, which would compare the elements
+            if not blk:
+                raise ValueError("empty block in noncrossing partition")
             if not all(type(x) is int and x >= 1 for x in blk):
                 raise ValueError("block elements must be positive integers")
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -292,6 +292,8 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple]:
 
     Each partition of {1..n-1}, in this order, gives first the one with the
     block (n,) appended, then those with n added to each block in turn."""
+    n = operator.index(n)  # a walk to n = 1.5 would never end
+
     def children(node):
         blocks, x = node
         x += 1

@@ -34,12 +34,7 @@ class DecoratedLabelledDyckPath:
 
     def __post_init__(self):
         for name, make in (("labels", tuple), ("drise", frozenset), ("dvalley", frozenset)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, make(value))
-            except TypeError:  # not iterable, or an unhashable decoration
-                raise ValueError("%s must be a collection of integers, got %r"
-                                 % (name, value)) from None
+            object.__setattr__(self, name, make(getattr(self, name)))
         steps = self.steps
         if type(steps) is not str or set(steps) - {"N", "E"}:
             raise ValueError("steps must be over {N, E}")
@@ -150,19 +145,9 @@ class AreaZeroDecoratedPath:
     columns: tuple
 
     def __post_init__(self):
-        try:
-            columns = iter(self.columns)
-        except TypeError:
-            raise ValueError("columns must be a collection of (labels, flag) pairs, got %r"
-                             % (self.columns,)) from None
         cols = []
-        for c, column in enumerate(columns, start=1):
-            try:
-                labels, flag = column
-                labels = tuple(labels)
-            except (TypeError, ValueError):  # not a pair, or labels not iterable
-                raise ValueError("column %d must be a (labels, flag) pair, got %r"
-                                 % (c, column)) from None
+        for c, (labels, flag) in enumerate(self.columns, start=1):
+            labels = tuple(labels)
             cols.append((labels, bool(flag)))
             if not labels:
                 raise ValueError("empty column %d" % c)

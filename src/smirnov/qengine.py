@@ -466,7 +466,7 @@ def sf_h_coefficient(n: int, k: int, l: int, mu: Sequence[int],
 
     Requires k + l < n (or n = 0): the underlying symmetric function is only
     defined with at least one block.  The combinatorial sum for k + l >= n is
-    genuinely zero and is available via stats.enumerative_q_sum.
+    genuinely zero.
     """
     if not (type(n) is type(k) is type(l) is int) or n < 0 or k < 0 or l < 0:
         raise ValueError("n, k, l must be nonnegative ints, got %r" % ((n, k, l),))
@@ -541,7 +541,7 @@ def histogram_poly(counts: dict) -> QPolynomial:
     if not counts:
         return _ZERO
     out = [0] * (max(counts) + 1)
-    for v, c in counts.items():
+    for v, c in dict(counts).items():  # a list of ints is Python's TypeError here
         out[v] = c
     return QPolynomial(out)
 

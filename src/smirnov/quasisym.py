@@ -109,6 +109,8 @@ def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
     """Exponent vectors (length bound) of the fundamental quasisymmetric
     function Q_{split,n} over the alphabet 1..bound."""
     split = frozenset(split)
+    if not split <= frozenset(range(1, n)):  # seq[0] would read seq[-1]; seq[n] overruns
+        raise ValueError("split set must lie in 1..n-1")
     for seq in itertools.combinations_with_replacement(range(1, bound + 1), n):
         if all(seq[s] > seq[s - 1] for s in split):
             yield letter_content(seq, bound)

@@ -8,9 +8,8 @@ import collections
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .qengine import QPolynomial, histogram_poly
-from .words import (PEAK, SegmentedSmirnovWord, ascents_descents, block_starts,
-                    enumerate_words, occurrence_roles)
+from .qengine import histogram_poly
+from .words import PEAK, SegmentedSmirnovWord, ascents_descents, block_starts, occurrence_roles
 
 
 @dataclass(frozen=True)
@@ -226,18 +225,6 @@ def stat_distributions(words: Iterable, *stat_fns, key=ascents_descents) -> list
             for bucket in buckets]
 
 
-def enumerative_q_sum(mu: Sequence[int], k: int, l: int, stat: str = "sminv") -> QPolynomial:
-    """Exact sum of q^stat(w) over all words of content mu with k ascents, l descents."""
-    if stat == "sminv":
-        fn = sminv_count
-    elif stat == "sdinv":
-        fn = sdinv_count
-    else:
-        raise ValueError("unknown statistic %r" % (stat,))
-    [dist] = stat_distributions(enumerate_words(mu), fn)
-    return dist.get((k, l), QPolynomial.zero())
-
-
 @dataclass(frozen=True)
 class OrderedMultisetPartition:
     """Sequence of nonempty sorted blocks (multisets allowed; the statistics
@@ -246,11 +233,7 @@ class OrderedMultisetPartition:
     blocks: tuple
 
     def __post_init__(self):
-        try:
-            blocks = tuple(map(tuple, self.blocks))
-        except TypeError:  # blocks, or one of them, is not iterable
-            raise ValueError("blocks must be a collection of blocks of positive integers, "
-                             "got %r" % (self.blocks,)) from None
+        blocks = tuple(map(tuple, self.blocks))
         for blk in blocks:  # before the sort, which would compare the elements
             if not blk:
                 raise ValueError("empty block in ordered multiset partition")

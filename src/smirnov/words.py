@@ -100,7 +100,12 @@ EMPTY_WORD = SegmentedSmirnovWord((), ())
 def letter_content(letters: Sequence[int], bound: int = None) -> tuple:
     """Weak composition: entry i-1 is the multiplicity of letter i, over the
     letters 1..bound when a bound is given, else with trailing zeros trimmed."""
-    mu = [0] * (max(letters, default=0) if bound is None else bound)
+    top = max(letters) if letters else 0  # faster than max(default=0) on CPython 3.11
+    if bound is None:
+        bound = top
+    if top > bound or (letters and min(letters) < 1):  # else an index would overrun or wrap
+        raise ValueError("letters must lie in 1..%r, got %r" % (bound, tuple(letters)))
+    mu = [0] * bound
     for letter in letters:
         mu[letter - 1] += 1
     return tuple(mu)
@@ -124,7 +129,8 @@ def parse_word(text: str) -> SegmentedSmirnovWord:
         raise ValueError("empty word text (construct the empty word directly)")
     letters = []
     shape = []
-    for block_no, chunk in enumerate(text.split("|"), start=1):
+    # str.split, not text.split: a text that is not a str is Python's TypeError
+    for block_no, chunk in enumerate(str.split(text, "|"), start=1):
         chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty block at block index %d" % block_no)
@@ -321,10 +327,7 @@ def enumerate_words_by_stat(mu: Sequence[int], k: int, l: int) -> Iterator[Segme
 
 def _int_list(name: str, values: Sequence[int]) -> list:
     """values as a list, each entry an int proper (so not a bool or a float)."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise ValueError("%s must hold integers, got %r" % (name, values)) from None
+    values = list(values)
     for v in values:
         if type(v) is not int:
             raise ValueError("%s must hold integers, got %r" % (name, v))

@@ -19,7 +19,7 @@ from smirnov.cli import main
 from smirnov.paths import DecoratedLabelledDyckPath, area, area_word, path_dinv
 from smirnov.qengine import QPolynomial
 from smirnov.quasisym import split_set, standardize
-from smirnov.stats import enumerative_q_sum, sdinv, sminv
+from smirnov.stats import sdinv, sdinv_count, sminv, sminv_count, stat_distributions
 from smirnov.words import enumerate_words, parse_word
 from smirnov.models import (NoncrossingPartition, noncrossing_to_permutation,
                             polyomino_to_word, smirnov_to_polyomino)
@@ -104,12 +104,10 @@ def test_criterion_04_fixed_fixtures(report):
         assert table == {"121": (0, 0), "1|12": (0, 1), "1|21": (0, 0),
                          "12|1": (1, 0), "21|1": (1, 1), "1|1|2": (0, 0),
                          "1|2|1": (1, 1), "2|1|1": (2, 2)}
-        assert enumerative_q_sum((2, 1), 0, 0) == QPolynomial((1, 1, 1))
-        assert enumerative_q_sum((2, 1), 1, 0) == QPolynomial((1, 1))
-        assert enumerative_q_sum((2, 1), 0, 1) == QPolynomial((1, 1))
-        assert enumerative_q_sum((2, 1), 1, 1) == QPolynomial((1,))
-        for stat in ("sminv", "sdinv"):
-            assert enumerative_q_sum((2, 1), 0, 0, stat) == QPolynomial((1, 1, 1))
+        by_sminv, by_sdinv = stat_distributions(enumerate_words((2, 1)), sminv_count, sdinv_count)
+        assert by_sminv == {(0, 0): QPolynomial((1, 1, 1)), (1, 0): QPolynomial((1, 1)),
+                            (0, 1): QPolynomial((1, 1)), (1, 1): QPolynomial((1,))}
+        assert by_sdinv[(0, 0)] == QPolynomial((1, 1, 1))
         assert standardize(parse_word("121|31|2132")).text() == "152|93|6487"
         assert split_set(parse_word("152|93|6487")) == frozenset({4, 7})
         nc = NoncrossingPartition(((1, 2, 5), (3, 4), (6, 8, 9), (7,)))

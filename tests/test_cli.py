@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +16,20 @@ from smirnov.qengine import QPolynomial
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def test_module_runs_as_a_process():
+    # `python -m smirnov.cli` reaches the module's `__main__` guard, which
+    # CliRunner never does
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for args, line in [(["table", "--kind", "hilbert", "--n", "3"], "  3   1   1 1^3        3+q"),
+                       (["stat", "--word", "231|3212|12", "--stat", "sminv"],
+                        "sminv(231|3212|12) = 8")]:
+        result = subprocess.run([sys.executable, "-m", "smirnov.cli", *args], capture_output=True,
+                                text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert line in result.stdout.splitlines()
 
 
 class TestEnumerate:

@@ -16,9 +16,9 @@ from smirnov.models import (LabelledPolyomino, NoncrossingPartition, catalan,
                             noncrossing_to_permutation, permutation_to_noncrossing,
                             polyomino_to_word, single_block_words,
                             smirnov_to_polyomino)
-from smirnov.qengine import sf_h_coefficient
-from smirnov.stats import enumerative_q_sum, sminv_count
-from smirnov.words import SegmentedSmirnovWord, parse_word, partitions_of
+from smirnov.qengine import QPolynomial, sf_h_coefficient
+from smirnov.stats import sminv_count, stat_distributions
+from smirnov.words import SegmentedSmirnovWord, enumerate_words, parse_word, partitions_of
 
 
 def _reference_single_block_words(n, bound, prefix=()):
@@ -171,10 +171,14 @@ class TestNoncrossing:
 
     @pytest.mark.parametrize("blocks", [5, [5]])
     def test_blocks_must_be_iterable(self, blocks):
-        with pytest.raises(ValueError) as exc:
+        # blocks, or a block, that is not a collection: Python's own TypeError
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
             NoncrossingPartition(blocks)
-        assert str(exc.value) == ("blocks must be a collection of blocks of positive integers, "
-                                  "got %r" % (blocks,))
+
+    def test_empty_block_rejected(self):
+        # it used to construct with n = 1, and noncrossing_to_permutation then failed
+        with pytest.raises(ValueError, match="^empty block in noncrossing partition$"):
+            NoncrossingPartition(((), (1,)))
 
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
@@ -300,7 +304,8 @@ class TestPolyominoRejection:
 
     @pytest.mark.parametrize("labels", [(5,), 5, ((0, 0, 1), 7)])
     def test_labels_must_be_iterable_triples(self, labels):
-        with pytest.raises(ValueError, match="^each label must be a .col, row, value. triple"):
+        # labels, or a label, that is not a collection: Python's own TypeError
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
             LabelledPolyomino("NE", "EN", labels)
 
     @pytest.mark.parametrize("upper, lower", [(5, "EN"), ("NE", 5), (["N", "E"], "EN"),
@@ -326,10 +331,11 @@ class TestChromatic:
         tallies = chromatic_path_enumerator(n, n)
         for mu in partitions_of(n):
             exps = tuple(mu) + (0,) * (n - len(mu))
+            [by_cell] = stat_distributions(enumerate_words(mu), sminv_count)
             for l in range(n):
                 k = n - 1 - l
                 got = tallies.get(l, {}).get(exps, 0)
-                assert got == enumerative_q_sum(mu, k, l, "sminv")(1)
+                assert got == by_cell.get((k, l), QPolynomial.zero())(1)
                 assert got == sf_h_coefficient(n, k, l, mu)(1)
 
     def test_rejects_empty_graph(self):

@@ -93,7 +93,9 @@ class TestStepForm:
                                              ("dvalley", ("NE", (1,), (), 5)),
                                              ("drise", ("NNEE", (1, 2), ([2],), ()))])
     def test_arguments_must_be_collections(self, field, args):
-        with pytest.raises(ValueError, match="^%s must be a collection of integers, got" % field):
+        # field names the argument that is not a collection (or holds an
+        # unhashable decoration): Python's own TypeError
+        with pytest.raises(TypeError, match="^('int' object is not iterable|unhashable type)"):
             DecoratedLabelledDyckPath(*args)
 
 
@@ -157,18 +159,22 @@ class TestBlockForm:
          "the first column cannot be a decorated valley"),
         # bool is a subclass of int, but not a label
         ((((True, 2), False),), "labels must be positive integers"),
-        # a column is a (labels, flag) pair
-        ((5,), "column 1 must be a (labels, flag) pair, got 5"),
-        (((5, False),), "column 1 must be a (labels, flag) pair, got (5, False)"),
-        ((((1,), False), ((2,), False, 3)),
-         "column 2 must be a (labels, flag) pair, got ((2,), False, 3)"),
+        # a column is a (labels, flag) pair, unpacked as Python unpacks a pair
+        ((((1,),),), "not enough values to unpack (expected 2, got 1)"),
+        ((("12", False),), "labels must be positive integers"),
+        ((((1,), False), ((2,), False, 3)), "too many values to unpack (expected 2)"),
         ((((3, 2), False), ((1,),)), "column 1 labels must strictly increase"),
-        (5, "columns must be a collection of (labels, flag) pairs, got 5"),
     ])
     def test_validation_messages(self, columns, message):
         with pytest.raises(ValueError) as exc:
             AreaZeroDecoratedPath(columns)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("columns", [5, (5,), ((5, False),)])
+    def test_columns_must_be_collections(self, columns):
+        # the columns, a column or its labels not a collection: Python's own TypeError
+        with pytest.raises(TypeError, match="iterable"):
+            AreaZeroDecoratedPath(columns)
 
     def test_step_form_round_trip_area_zero(self):
         D = phi(parse_word("34|1|24|124"))

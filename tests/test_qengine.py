@@ -17,7 +17,7 @@ import smirnov
 from smirnov import qengine
 from smirnov.qengine import (QPolynomial, SfCoefficientTable, hilbert_table, q_binomial,
                              sf_h_coefficient, standard_q_count)
-from smirnov.stats import enumerative_q_sum, sdinv_count, sminv_count, stat_distributions
+from smirnov.stats import sdinv_count, sminv_count, stat_distributions
 from smirnov.words import enumerate_words, partitions_of
 
 polys = st.lists(st.integers(min_value=0, max_value=50), max_size=6).map(QPolynomial)
@@ -437,14 +437,14 @@ class TestRecursion:
                     assert standard_q_count(n, k, l) == sf_h_coefficient(n, k, l, (1,) * n)
 
     def test_enumerative_sum_fixture(self):
-        # content (2,1): one polynomial per (k, l) cell
-        assert enumerative_q_sum((2, 1), 0, 0) == QPolynomial((1, 1, 1))
-        assert enumerative_q_sum((2, 1), 1, 0) == QPolynomial((1, 1))
-        assert enumerative_q_sum((2, 1), 0, 1) == QPolynomial((1, 1))
-        assert enumerative_q_sum((2, 1), 1, 1) == QPolynomial((1,))
-        assert enumerative_q_sum((2, 1), 2, 0) == 0
-        for stat in ("sminv", "sdinv"):
-            assert enumerative_q_sum((2, 1), 0, 0, stat) == QPolynomial((1, 1, 1))
+        # content (2,1): one polynomial per (k, l) cell, and no word in cell (2, 0)
+        by_sminv, by_sdinv = stat_distributions(enumerate_words((2, 1)), sminv_count, sdinv_count)
+        assert by_sminv[(0, 0)] == QPolynomial((1, 1, 1))
+        assert by_sminv[(1, 0)] == QPolynomial((1, 1))
+        assert by_sminv[(0, 1)] == QPolynomial((1, 1))
+        assert by_sminv[(1, 1)] == QPolynomial((1,))
+        assert (2, 0) not in by_sminv
+        assert by_sdinv[(0, 0)] == QPolynomial((1, 1, 1))
 
     def test_stat_distributions_read_the_words_once(self):
         # every statistic's (k, l) map from one pass over a single-use iterator
@@ -452,10 +452,6 @@ class TestRecursion:
                     (0, 1): QPolynomial((1, 1)), (1, 1): QPolynomial((1,))}
         words = iter(list(enumerate_words((2, 1))))
         assert stat_distributions(words, sminv_count, sdinv_count) == [expected, expected]
-
-    def test_enumerative_sum_rejects_unknown_stat(self):
-        with pytest.raises(ValueError):
-            enumerative_q_sum((2, 1), 0, 0, "maj")
 
     def test_hilbert_table(self):
         table = hilbert_table(3)

@@ -2,6 +2,7 @@
 and the maximal-letter insertion/extraction machinery."""
 
 import ast
+import collections
 import itertools
 import math
 import os
@@ -271,6 +272,14 @@ class TestEnumeration:
         assert letter_content((), 2) == (0, 0)
         for letters in itertools.product(range(1, 4), repeat=3):
             assert letter_content(letters, max(letters)) == letter_content(letters)
+
+    @given(st.lists(st.integers(1, 6), max_size=8), st.integers(0, 2))
+    def test_letter_content_counts_each_letter(self, letters, spare):
+        counts = collections.Counter(letters)
+        top = max(letters, default=0)
+        assert letter_content(letters) == tuple(counts[x] for x in range(1, top + 1))
+        assert letter_content(letters, top + spare) == tuple(counts[x]
+                                                             for x in range(1, top + spare + 1))
 
     def test_trailing_zeros_trimmed(self):
         assert list(enumerate_words((2, 1, 0))) == list(enumerate_words((2, 1)))
@@ -543,9 +552,13 @@ class TestInsertion:
         ("1", "falls", ("1",)), ("1|1", "peaks", (True,)), ("1|2|1", "peaks", (1, True)),
         ("1", "falls", 1)])
     def test_site_entries_must_be_ints(self, word, kind, entries):
-        bad = entries if type(entries) is int else [e for e in entries if type(e) is not int][0]
-        with pytest.raises(ValueError, match="^%s must hold integers, got %s$"
-                           % (kind, re.escape(repr(bad)))):
+        if type(entries) is int:  # not a list of sites at all: Python's own TypeError
+            expected = pytest.raises(TypeError, match="^'int' object is not iterable$")
+        else:
+            bad = [e for e in entries if type(e) is not int][0]
+            expected = pytest.raises(ValueError, match="^%s must hold integers, got %s$"
+                                     % (kind, re.escape(repr(bad))))
+        with expected:
             insert_many(parse_word(word), 2, **{kind: entries})
 
     def test_equal_max_rejected_when_adjacent(self):
