@@ -8,10 +8,9 @@ import bisect
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from collections.abc import Iterator, Sequence
 
-from .words import SegmentedSmirnovWord, _depth_first, letter_content
+from .words import SegmentedSmirnovWord, _depth_first, _Record, letter_content
 
 
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
@@ -27,31 +26,30 @@ def single_block_words(n: int, bound: int) -> Iterator[tuple]:
     return _depth_first((), children) if n >= 1 else iter(())
 
 
-def chromatic_path_enumerator(n: int, content_bound: int) -> Dict[int, Counter]:
+def chromatic_path_enumerator(n: int, content_bound: int) -> dict[int, Counter]:
     """Proper colorings of the path graph on n vertices with colors 1..bound,
     tallied by descent count and monomial exponent vector."""
     if n < 1:
         raise ValueError("the path graph needs at least one vertex")
-    out: Dict[int, Counter] = {}
+    out: dict[int, Counter] = {}
     for letters in single_block_words(n, content_bound):
         descents = sum(1 for i in range(n - 1) if letters[i] > letters[i + 1])
         out.setdefault(descents, Counter())[letter_content(letters, content_bound)] += 1
     return out
 
 
-@dataclass(frozen=True)
-class LabelledPolyomino:
+class LabelledPolyomino(_Record):
     """Parallelogram polyomino: upper and lower NE paths on a width x height
     grid with labels on the cells whose left border is an upper north step or
     whose bottom border is a lower east step.  Cells are keyed (col, row),
     0-based."""
 
-    upper: str
-    lower: str
-    labels: tuple  # sorted ((col, row, value), ...)
+    _fields = ("upper", "lower", "labels")  # labels: sorted ((col, row, value), ...)
 
-    def __post_init__(self):
-        labels = tuple(map(tuple, self.labels))
+    def __init__(self, upper: str, lower: str, labels: tuple):
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        labels = tuple(map(tuple, labels))
         if not all(len(cell) == 3 and type(cell[0]) is type(cell[1]) is int for cell in labels):
             raise ValueError("each label must be a (col, row, value) triple, "
                              "col and row integers")
@@ -90,7 +88,7 @@ class LabelledPolyomino:
         return _area_zero(self.upper, self.lower)
 
 
-def _labelled_cells(upper: str, lower: str) -> List[tuple]:
+def _labelled_cells(upper: str, lower: str) -> list[tuple]:
     """Sorted cells with an upper north step on the left or a lower east step below."""
     cells = set()
     x = y = 0
@@ -110,7 +108,7 @@ def _labelled_cells(upper: str, lower: str) -> List[tuple]:
     return sorted(cells)
 
 
-def _region_cells(upper: str, lower: str) -> List[tuple]:
+def _region_cells(upper: str, lower: str) -> list[tuple]:
     """All cells weakly between the two paths."""
     width = upper.count("E")
     uy = _strip_heights(upper, width)
@@ -232,23 +230,22 @@ def is_231_avoiding(perm: Sequence[int]) -> bool:
 
 def catalan(n: int) -> int:
     """Independent oracle by the convolution recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %r" % (n,))
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative integer, got %r" % (n,))
     cs = [1]
     for _ in range(n):
         cs.append(sum(cs[i] * cs[-1 - i] for i in range(len(cs))))
     return cs[n]
 
 
-@dataclass(frozen=True)
-class NoncrossingPartition:
+class NoncrossingPartition(_Record):
     """Set partition of {1..n} with no a < b < c < d where a, c and b, d lie
     in two different blocks."""
 
-    blocks: tuple
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
+    def __init__(self, blocks: tuple):
+        blocks = tuple(map(tuple, blocks))
         for blk in blocks:  # before the sort, which would compare the elements
             if not blk:
                 raise ValueError("empty block in noncrossing partition")

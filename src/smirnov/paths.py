@@ -12,30 +12,26 @@ word under phi in reversed order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from operator import lt
-from typing import Iterator, Sequence
 
 from .stats import sdinv_count
-from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, letter_content,
-                    occurrence_roles, set_sequences)
+from .words import (FALL, PEAK, RISE, VALLEY, SegmentedSmirnovWord, _from_blocks, _Record,
+                    letter_content, occurrence_roles, set_sequences)
 
 
-@dataclass(frozen=True)
-class DecoratedLabelledDyckPath:
+class DecoratedLabelledDyckPath(_Record):
     """Step form: steps over {N, E}; labels, decorated rises and valleys are
     indexed by vertical-step number (1-based)."""
 
-    steps: str
-    labels: tuple
-    drise: frozenset
-    dvalley: frozenset
+    _fields = ("steps", "labels", "drise", "dvalley")
 
-    def __post_init__(self):
-        for name, make in (("labels", tuple), ("drise", frozenset), ("dvalley", frozenset)):
-            object.__setattr__(self, name, make(getattr(self, name)))
-        steps = self.steps
+    def __init__(self, steps: str, labels: tuple, drise: frozenset, dvalley: frozenset):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "drise", frozenset(drise))
+        object.__setattr__(self, "dvalley", frozenset(dvalley))
         if type(steps) is not str or set(steps) - {"N", "E"}:
             raise ValueError("steps must be over {N, E}")
         n = steps.count("N")
@@ -138,15 +134,14 @@ def path_dinv(D) -> int:
     return total - len(D.dvalley)
 
 
-@dataclass(frozen=True)
-class AreaZeroDecoratedPath:
+class AreaZeroDecoratedPath(_Record):
     """Block form of an area-0 path: columns (labels, valley_decorated)."""
 
-    columns: tuple
+    _fields = ("columns",)
 
-    def __post_init__(self):
+    def __init__(self, columns: tuple):
         cols = []
-        for c, (labels, flag) in enumerate(self.columns, start=1):
+        for c, (labels, flag) in enumerate(columns, start=1):
             labels = tuple(labels)
             cols.append((labels, bool(flag)))
             if not labels:

@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 from array import array
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class QPolynomial:
@@ -39,6 +39,10 @@ class QPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
+
+    def __reduce__(self):
+        # pickle's default would restore the slot through __setattr__
+        return QPolynomial, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -327,25 +331,30 @@ class SfCoefficientTable(_PackedRecursion):
 
     def _terms(self, key: tuple) -> list:
         """The sub-keys (m, k - r, l - a, rest) inside the cells of size m,
-        each weighted by its packed F(B, j, r, a)."""
+        each weighted by the key (B, j, r, a) of its factor F."""
         n, k, l, mu = key
         j = mu[-1]  # multiplicity of the largest letter (mu sorted descending)
         m, rest, B = n - j, mu[:-1], n - k - l
-        top, factors, terms = max(m, 1), self.factors, []
+        top, terms = max(m, 1), []
         for r in range(min(j, k) + 1):
             for a in range(min(j, l) + 1):
                 k2, l2 = k - r, l - a
                 if k2 + l2 < top:
-                    F = factors.get((B, j, r, a))
-                    if F is None:
-                        F = self._factor(B, j, r, a)
-                    terms.append(((m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest), F))
+                    terms.append(((m, k2, l2, rest) if k2 <= l2 else (m, l2, k2, rest),
+                                  (B, j, r, a)))
         return terms
 
     def _value(self, key: tuple, terms: list) -> int:
-        packed, total = self.packed, 0
-        for sub, F in terms:
-            total += F * packed[sub]
+        """The sum of F times each sub-value; F is packed only for a
+        sub-key whose value is not 0."""
+        packed, factors, total = self.packed, self.factors, 0
+        for sub, weight in terms:
+            x = packed[sub]
+            if x:
+                F = factors.get(weight)
+                if F is None:
+                    F = self._factor(*weight)
+                total += F * x
         return total
 
     def _factor(self, B: int, j: int, r: int, a: int) -> int:

@@ -4,12 +4,11 @@ quasisymmetric expansion of the standard-word enumerator."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from collections.abc import Iterable, Sequence
 
 from .qengine import QPolynomial
 from .stats import sminv_count, stat_distributions
-from .words import (FALL, SegmentedSmirnovWord, block_starts, enumerate_words_by_stat,
+from .words import (FALL, SegmentedSmirnovWord, _Record, block_starts, enumerate_words_by_stat,
                     letter_content, occurrence_roles, words_of_length)
 
 
@@ -78,24 +77,28 @@ def composition_from_split(split: Iterable[int], n: int) -> tuple:
     parts = []
     prev = 0
     for s in sums + [n]:
+        if type(s) is not int:
+            raise ValueError("split set and n must be integers, got %r" % (s,))
         parts.append(s - prev)
         prev = s
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class FundamentalTerm:
+class FundamentalTerm(_Record):
     """q^sminv-aggregated coefficient of one fundamental quasisymmetric function."""
 
-    composition: tuple
-    coefficient: QPolynomial
+    _fields = ("composition", "coefficient")
+
+    def __init__(self, composition: tuple, coefficient: QPolynomial):
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "coefficient", coefficient)
 
     @property
     def split(self) -> frozenset:
         return frozenset(itertools.accumulate(self.composition[:-1]))
 
 
-def fundamental_expansion(n: int, k: int, l: int) -> List[FundamentalTerm]:
+def fundamental_expansion(n: int, k: int, l: int) -> list[FundamentalTerm]:
     """Group q^sminv over segmented permutations with k ascents, l descents by
     the composition of their split set."""
     if n > 0 and k + l >= n:
@@ -117,9 +120,9 @@ def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
 
 
 def expand_to_monomials(terms: Sequence[FundamentalTerm],
-                        alphabet_bound: int) -> Dict[tuple, QPolynomial]:
+                        alphabet_bound: int) -> dict[tuple, QPolynomial]:
     """Monomial expansion of a sum of fundamental terms over x_1..x_bound."""
-    out: Dict[tuple, QPolynomial] = {}
+    out: dict[tuple, QPolynomial] = {}
     for term in terms:
         n = sum(term.composition)
         for exps in monomials_of_fundamental(term.split, n, alphabet_bound):
@@ -127,7 +130,7 @@ def expand_to_monomials(terms: Sequence[FundamentalTerm],
     return {e: p for e, p in out.items() if p}
 
 
-def direct_monomial_sum(n: int, k: int, l: int, bound: int) -> Dict[tuple, QPolynomial]:
+def direct_monomial_sum(n: int, k: int, l: int, bound: int) -> dict[tuple, QPolynomial]:
     """Sum of q^sminv(w) x^w over all words with n letters <= bound, k ascents,
     l descents, keyed by exponent vector; computed by direct enumeration,
     independent of the expansion."""

@@ -5,18 +5,20 @@ inv/dinv."""
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .qengine import histogram_poly
-from .words import PEAK, SegmentedSmirnovWord, ascents_descents, block_starts, occurrence_roles
+from .words import (PEAK, SegmentedSmirnovWord, _Record, ascents_descents, block_starts,
+                    occurrence_roles)
 
 
-@dataclass(frozen=True)
-class InversionReport:
+class InversionReport(_Record):
     """pairs: ((i, j, tags), ...) with 1-based indices; tags list every case that fired."""
 
-    pairs: tuple
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple):
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def count(self) -> int:
@@ -225,15 +227,14 @@ def stat_distributions(words: Iterable, *stat_fns, key=ascents_descents) -> list
             for bucket in buckets]
 
 
-@dataclass(frozen=True)
-class OrderedMultisetPartition:
+class OrderedMultisetPartition(_Record):
     """Sequence of nonempty sorted blocks (multisets allowed; the statistics
     below require genuine sets)."""
 
-    blocks: tuple
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
+    def __init__(self, blocks: tuple):
+        blocks = tuple(map(tuple, blocks))
         for blk in blocks:  # before the sort, which would compare the elements
             if not blk:
                 raise ValueError("empty block in ordered multiset partition")

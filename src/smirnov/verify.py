@@ -9,34 +9,38 @@ import itertools
 import os
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple
 
 from . import models, paths, quasisym
 from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coefficient,
                       standard_q_count)
 from .stats import (omp_dinv, omp_inv, project, sdinv_count, sminv, sminv_count,
                     stat_distributions)
-from .words import (SegmentedSmirnovWord, ascents_descents, enumerate_words, insert_many,
+from .words import (SegmentedSmirnovWord, _Record, ascents_descents, enumerate_words, insert_many,
                     partitions_of, set_sequences, shapes_for, words_of_length)
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    key: str
-    ok: bool
-    witness: str = ""
-    elapsed: float = 0.0  # seconds, measured in the process that ran the case
+class CaseResult(_Record):
+    _fields = ("key", "ok", "witness", "elapsed")
+
+    def __init__(self, key: str, ok: bool, witness: str = "", elapsed: float = 0.0):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        # seconds, measured in the process that ran the case
+        object.__setattr__(self, "elapsed", elapsed)
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    n_max: int
-    cases: List[CaseResult] = field(default_factory=list)
-    elapsed: float = 0.0
+class VerificationReport(_Record):
+    _fields = ("suite", "n_max", "cases", "elapsed")
+
+    def __init__(self, suite: str, n_max: int, cases: tuple = (), elapsed: float = 0.0):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "cases", tuple(cases))
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def passed(self) -> int:
@@ -79,7 +83,7 @@ def _timed(task: tuple) -> CaseResult:
     return CaseResult(key, not witness, witness, time.perf_counter() - start)
 
 
-def _run_cases(tasks: List[tuple]) -> List[CaseResult]:
+def _run_cases(tasks: list[tuple]) -> list[CaseResult]:
     """Run (key, case function, args) tasks, through one process pool of one
     worker per usable CPU (no more than there are tasks) when that is above 1,
     in process otherwise; a case returns its witness, "" when it passes, and is
@@ -161,7 +165,7 @@ def _case_trinomial(bound: int) -> str:
     return ""
 
 
-def _main_theorem_tasks(n_max: int, *_) -> List[tuple]:
+def _main_theorem_tasks(n_max: int, *_) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, -1, -1):
         tasks.append(("standard-case n=%d" % n, _case_standard, n))
@@ -186,7 +190,7 @@ def _case_equidistribution(mu: tuple) -> str:
     return ""
 
 
-def _equidistribution_tasks(n_max: int, *_) -> List[tuple]:
+def _equidistribution_tasks(n_max: int, *_) -> list[tuple]:
     return [("equidistribution mu=%s" % (mu,), _case_equidistribution, mu)
             for n in range(n_max, -1, -1) for mu in partitions_of(n)]
 
@@ -251,7 +255,7 @@ def _case_projection_mu(mu: tuple) -> str:
     return ""
 
 
-def _bijection_tasks(n_max: int, *_) -> List[tuple]:
+def _bijection_tasks(n_max: int, *_) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, -1, -1):
         if n <= n_max:
@@ -328,7 +332,7 @@ def _case_insertion(args: tuple) -> str:
     return ""
 
 
-def _insertion_tasks(n_max: int, instances: int, seed: int) -> List[tuple]:
+def _insertion_tasks(n_max: int, instances: int, seed: int) -> list[tuple]:
     batch_size = 50
     return [("insertion %s batch=%d" % (kind, start // batch_size), _case_insertion,
              (kind, start // batch_size, min(batch_size, instances - start), seed, n_max))
@@ -375,7 +379,7 @@ def _case_fiber(n: int) -> str:
     return ""
 
 
-def _quasisym_tasks(n_max: int, *_) -> List[tuple]:
+def _quasisym_tasks(n_max: int, *_) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, 0, -1):
         if n <= n_max:
@@ -467,7 +471,7 @@ def _case_chromatic(n: int) -> str:
     return ""
 
 
-def _models_tasks(n_max: int, *_) -> List[tuple]:
+def _models_tasks(n_max: int, *_) -> list[tuple]:
     tasks = []
     for n in range(n_max, 0, -1):
         tasks += [("231-avoidance n=%d" % n, _case_avoidance, n),
@@ -478,12 +482,10 @@ def _models_tasks(n_max: int, *_) -> List[tuple]:
     return tasks
 
 
-class _Suite(NamedTuple):
-    tasks: Callable  # (n_max, instances, seed) -> [(key, case function, args)], largest n first
-    default_n_max: int
-    # below it a suite has no case (quasisym and models start at n = 1), or
-    # cannot draw a word (_random_word draws n from 2..n_max)
-    least_n_max: int
+# tasks: (n_max, instances, seed) -> [(key, case function, args)], largest n
+# first; below least_n_max a suite has no case (quasisym and models start at
+# n = 1), or cannot draw a word (_random_word draws n from 2..n_max)
+_Suite = namedtuple("_Suite", ("tasks", "default_n_max", "least_n_max"))
 
 
 _SUITES = {

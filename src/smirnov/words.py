@@ -9,25 +9,58 @@ compositions of letter multiplicities.  All reported indices are 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterator, Sequence
 from functools import cached_property
-from typing import Iterator, Sequence
 
 # the role of a letter occurrence in its block (see occurrence_roles), in the
 # order in which paths.phi places the occurrences of one letter
 PEAK, RISE, FALL, VALLEY = range(4)
 
 
-@dataclass(frozen=True)
-class SegmentedSmirnovWord:
+class _Record:
+    """The base of the package's immutable records.
+
+    A record names its fields in `_fields`; its own `__init__` checks them and
+    stores them with `object.__setattr__`.  Two records are equal when they are
+    of one class and their fields are equal.  The hash and the repr
+    `Name(field=value, ...)` read `_fields` too, so a cached property in the
+    instance `__dict__` takes no part in them.  Assigning or deleting an
+    attribute raises `AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class SegmentedSmirnovWord(_Record):
     """letters with a block-length shape; validated on construction."""
 
-    letters: tuple
-    shape: tuple
+    _fields = ("letters", "shape")
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        shape = tuple(self.shape)
+    def __init__(self, letters: tuple, shape: tuple):
+        letters = tuple(letters)
+        shape = tuple(shape)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "shape", shape)
         for part in shape:
@@ -107,19 +140,25 @@ def letter_content(letters: Sequence[int], bound: int = None) -> tuple:
         raise ValueError("letters must lie in 1..%r, got %r" % (bound, tuple(letters)))
     mu = [0] * bound
     for letter in letters:
+        if type(letter) is not int:  # True would count as the letter 1
+            raise ValueError("letters must be integers, got %r" % (tuple(letters),))
         mu[letter - 1] += 1
     return tuple(mu)
 
 
-@dataclass(frozen=True)
-class PositionProfile:
+class PositionProfile(_Record):
     """Per-index classification; all sets 1-based."""
 
-    roles: tuple  # roles[i-1] in {"peak","valley","double_rise","double_fall"}
-    initial: frozenset
-    final: frozenset
-    ascents: frozenset
-    descents: frozenset
+    _fields = ("roles", "initial", "final", "ascents", "descents")
+
+    def __init__(self, roles: tuple, initial: frozenset, final: frozenset,
+                 ascents: frozenset, descents: frozenset):
+        # roles[i-1] in {"peak","valley","double_rise","double_fall"}
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "ascents", ascents)
+        object.__setattr__(self, "descents", descents)
 
 
 def parse_word(text: str) -> SegmentedSmirnovWord:
@@ -389,8 +428,7 @@ def insert_many(w: SegmentedSmirnovWord, m: int,
     return _from_blocks(out)
 
 
-@dataclass(frozen=True)
-class InsertionRecord:
+class InsertionRecord(_Record):
     """How the occurrences of the maximal letter m sit inside a word.
 
     peaks are separator indices of the stripped word; rises/falls index the
@@ -398,11 +436,15 @@ class InsertionRecord:
     left, over the joined blocks).
     """
 
-    m: int
-    peaks: frozenset
-    rises: frozenset
-    falls: frozenset
-    gaps: tuple
+    _fields = ("m", "peaks", "rises", "falls", "gaps")
+
+    def __init__(self, m: int, peaks: frozenset, rises: frozenset, falls: frozenset,
+                 gaps: tuple):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "peaks", peaks)
+        object.__setattr__(self, "rises", rises)
+        object.__setattr__(self, "falls", falls)
+        object.__setattr__(self, "gaps", gaps)
 
 
 def extract_maximal(w: SegmentedSmirnovWord) -> tuple:

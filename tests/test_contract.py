@@ -144,6 +144,14 @@ def test_plain_data_raises_only_type_and_value_errors(name, data):
     ("quasisym.monomials_of_fundamental", ({0}, 3, 2), ValueError),
     ("models.catalan", (-2,), ValueError),
     ("models.catalan", (-1,), ValueError),
+    # answers: True was read as the letter 1 or the size 1, a part 1.5 was kept
+    ("words.letter_content", ((True, 2),), ValueError),
+    ("quasisym.composition_from_split", ({1.5}, 3), ValueError),
+    ("quasisym.composition_from_split", ((), 1.5), ValueError),
+    ("models.catalan", (True,), ValueError),
+    # Python's TypeError from a list index or a range, where an int is checked
+    ("words.letter_content", ((1.5, 2),), ValueError),
+    ("models.catalan", (1.5,), ValueError),
 ])
 def test_inputs_that_escaped_the_contract(name, args, error):
     with pytest.raises(error):

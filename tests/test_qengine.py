@@ -415,6 +415,9 @@ class TestRecursion:
                 sf_h_coefficient(12, k, l, mu, table)
         assert table.cache_info() == (2772, 3234, None, 3234)
         assert all(k <= l for _, k, l, _ in table.packed)
+        # F is packed only for a term whose sub-value is not 0; packing it for
+        # every listed term packed 975
+        assert len(table.factors) == 692
         standard_q_count.cache_clear()
         hilbert_table(30)
         assert standard_q_count.cache_info() == (225, 240, None, 240)
