@@ -77,19 +77,16 @@ def cmd_stat(word_text, stat_name, as_json):
 @click.option("--suite", required=True,
               type=click.Choice(list(verify.SUITES) + ["all"]))
 @click.option("--n-max", type=int, default=None, help="Override the suite's size bound.")
-@click.option("--instances", type=int, default=200, show_default=True,
-              help="Random instances per kind (insertion-lemmas only).")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def cmd_verify(suite, n_max, instances, seed, as_json):
+def cmd_verify(suite, n_max, as_json):
     """Run a verification suite; exit status 0 iff every case passes."""
     names = list(verify.SUITES) if suite == "all" else [suite]
     try:
         for name in names:
-            verify.suite_bound(name, n_max, instances)
+            verify.suite_bound(name, n_max)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    reports = [verify.run_suite(name, n_max, instances, seed) for name in names]
+    reports = [verify.run_suite(name, n_max) for name in names]
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))
     else:

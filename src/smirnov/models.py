@@ -6,24 +6,23 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
 
-from .words import SegmentedSmirnovWord, _depth_first, _Record, letter_content
+from .words import SegmentedSmirnovWord, _depth_first, _Record, _sizes, letter_content
 
 
 def single_block_words(n: int, bound: int) -> Iterator[tuple]:
     """Letter tuples of Smirnov words of length n over the alphabet 1..bound,
     in lexicographic order."""
-    n = operator.index(n)  # a walk to length 1.5 would never end
+    _sizes(n=n, bound=bound)
 
     def children(word):
         done = len(word) + 1 == n
         for x in range(1, bound + 1):
             if not word or word[-1] != x:
                 yield word + (x,), done
-    return _depth_first((), children) if n >= 1 else iter(())
+    return _depth_first((), children) if n else iter(())
 
 
 def chromatic_path_enumerator(n: int, content_bound: int) -> dict[int, Counter]:
@@ -181,6 +180,7 @@ def polyomino_to_word(p: LabelledPolyomino) -> SegmentedSmirnovWord:
 def enumerate_area0_polyominoes(width: int, height: int, bound: int) -> Iterator[LabelledPolyomino]:
     """Brute-force enumeration, independent of the word bijection: all path
     pairs, filtered to area 0, with all valid labelings over 1..bound."""
+    _sizes(width=width, height=height, bound=bound)
     size = width + height
     paths = ["".join("N" if i in north else "E" for i in range(size))
              for north in map(set, itertools.combinations(range(size), height))]
@@ -289,7 +289,7 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple]:
 
     Each partition of {1..n-1}, in this order, gives first the one with the
     block (n,) appended, then those with n added to each block in turn."""
-    n = operator.index(n)  # a walk to n = 1.5 would never end
+    _sizes(n=n)
 
     def children(node):
         blocks, x = node
@@ -302,7 +302,7 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple]:
             yield (blocks + ((x,),), x), False
             for i in range(len(blocks)):
                 yield (blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:], x), False
-    return _depth_first(((), 0), children) if n > 0 else iter([()] if n == 0 else [])
+    return _depth_first(((), 0), children) if n else iter([()])
 
 
 def crossing(blocks: Sequence[Sequence[int]]) -> tuple:

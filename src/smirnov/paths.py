@@ -205,9 +205,6 @@ class AreaZeroDecoratedPath(_Record):
         return self.text()
 
 
-EMPTY_PATH = AreaZeroDecoratedPath(())
-
-
 def _as_steps(D) -> DecoratedLabelledDyckPath:
     if isinstance(D, AreaZeroDecoratedPath):
         return D.to_steps()

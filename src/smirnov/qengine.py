@@ -78,9 +78,9 @@ class QPolynomial:
         return _unpack(_pack(a, w) * _pack(b, w), w)
 
     def times_q_power(self, k: int) -> "QPolynomial":
-        if not self.coeffs or k <= 0:
-            return self
-        return _poly((0,) * k + self.coeffs)
+        if type(k) is not int or k < 0:  # a counting series has no negative powers
+            raise ValueError("k must be a nonnegative int, got %r" % (k,))
+        return _poly((0,) * k + self.coeffs) if self.coeffs and k else self
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -547,25 +547,28 @@ standard_q_count = _StandardCount()
 
 def histogram_poly(counts: dict) -> QPolynomial:
     """The sum of c q^v over the items (v, c) of a histogram; zero when it is empty."""
-    if not counts:
-        return _ZERO
-    out = [0] * (max(counts) + 1)
-    for v, c in dict(counts).items():  # a list of ints is Python's TypeError here
+    counts = dict(counts)  # a list of ints is Python's TypeError here
+    top = -1
+    for v in counts:  # checked before out is sized: out[-2] would land on q^(top - 1)
+        if type(v) is not int or v < 0:
+            raise ValueError("exponents must be nonnegative ints, got %r" % (v,))
+        if v > top:
+            top = v
+    out = [0] * (top + 1)
+    for v, c in counts.items():
         out[v] = c
     return QPolynomial(out)
 
 
 def cells(n: int) -> list:
     """The cells (k, l) of size n: every k + l < n, or (0, 0) alone when n = 0."""
-    if n == 0:
-        return [(0, 0)]
-    return [(k, l) for k in range(n) for l in range(n - k)]
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative int, got %r" % (n,))
+    return [(k, l) for k in range(n) for l in range(n - k)] or [(0, 0)]
 
 
 def hilbert_table(n: int) -> dict:
     """Table (k, l) -> standard_q_count(n, k, l) over the cells of size n."""
-    if type(n) is not int or n < 0:
-        raise ValueError("n must be a nonnegative int, got %r" % (n,))
     return {(k, l): standard_q_count(n, k, l) for k, l in cells(n)}
 
 

@@ -8,8 +8,8 @@ from collections.abc import Iterable, Sequence
 
 from .qengine import QPolynomial
 from .stats import sminv_count, stat_distributions
-from .words import (FALL, SegmentedSmirnovWord, _Record, block_starts, enumerate_words_by_stat,
-                    letter_content, occurrence_roles, words_of_length)
+from .words import (FALL, SegmentedSmirnovWord, _Record, _sizes, block_starts,
+                    enumerate_words_by_stat, letter_content, occurrence_roles, words_of_length)
 
 
 def standardize(w: SegmentedSmirnovWord) -> SegmentedSmirnovWord:
@@ -111,6 +111,7 @@ def fundamental_expansion(n: int, k: int, l: int) -> list[FundamentalTerm]:
 def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
     """Exponent vectors (length bound) of the fundamental quasisymmetric
     function Q_{split,n} over the alphabet 1..bound."""
+    _sizes(n=n, bound=bound)
     split = frozenset(split)
     if not split <= frozenset(range(1, n)):  # seq[0] would read seq[-1]; seq[n] overruns
         raise ValueError("split set must lie in 1..n-1")

@@ -146,7 +146,7 @@ def _case_q_chu_vandermonde(bound: int) -> str:
         for a in range(j + 1):
             for r in range(j + 1):
                 rhs = QPolynomial.zero()
-                for i in range(j + 1):
+                for i in range(min(r, a) + 1):  # past min(r, a) a factor vanishes
                     term = q_binomial(r, i) * q_binomial(j - r, a - i)
                     rhs = rhs + term.times_q_power((r - i) * (a - i))
                 if q_binomial(j, a) != rhs:
@@ -165,7 +165,7 @@ def _case_trinomial(bound: int) -> str:
     return ""
 
 
-def _main_theorem_tasks(n_max: int, *_) -> list[tuple]:
+def _main_theorem_tasks(n_max: int) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, -1, -1):
         tasks.append(("standard-case n=%d" % n, _case_standard, n))
@@ -190,7 +190,7 @@ def _case_equidistribution(mu: tuple) -> str:
     return ""
 
 
-def _equidistribution_tasks(n_max: int, *_) -> list[tuple]:
+def _equidistribution_tasks(n_max: int) -> list[tuple]:
     return [("equidistribution mu=%s" % (mu,), _case_equidistribution, mu)
             for n in range(n_max, -1, -1) for mu in partitions_of(n)]
 
@@ -255,7 +255,7 @@ def _case_projection_mu(mu: tuple) -> str:
     return ""
 
 
-def _bijection_tasks(n_max: int, *_) -> list[tuple]:
+def _bijection_tasks(n_max: int) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, -1, -1):
         if n <= n_max:
@@ -310,10 +310,10 @@ def _insertion_enumerator(w, m, kind, s, stat_fn) -> QPolynomial:
 
 
 def _case_insertion(args: tuple) -> str:
-    kind, batch, count, seed, n_max = args
+    kind, batch, n_max = args
     _, sites_in, closed_form, holds_m = _INSERTION_SITES[kind]
-    rng = random.Random("%d:%s:%d" % (seed, kind, batch))
-    for _ in range(count):
+    rng = random.Random("0:%s:%d" % (kind, batch))
+    for _ in range(50):
         w = _random_word(rng, n_max)
         mx = max(w.letters)
         m = mx + 1
@@ -332,12 +332,10 @@ def _case_insertion(args: tuple) -> str:
     return ""
 
 
-def _insertion_tasks(n_max: int, instances: int, seed: int) -> list[tuple]:
-    batch_size = 50
-    return [("insertion %s batch=%d" % (kind, start // batch_size), _case_insertion,
-             (kind, start // batch_size, min(batch_size, instances - start), seed, n_max))
-            for kind in _INSERTION_SITES
-            for start in range(0, instances, batch_size)]
+def _insertion_tasks(n_max: int) -> list[tuple]:
+    """Per kind, 4 batches of 50 random words, batch b drawn from Random("0:<kind>:<b>")."""
+    return [("insertion %s batch=%d" % (kind, batch), _case_insertion, (kind, batch, n_max))
+            for kind in _INSERTION_SITES for batch in range(4)]
 
 
 # --- quasisym suite ---------------------------------------------------------
@@ -379,7 +377,7 @@ def _case_fiber(n: int) -> str:
     return ""
 
 
-def _quasisym_tasks(n_max: int, *_) -> list[tuple]:
+def _quasisym_tasks(n_max: int) -> list[tuple]:
     tasks = []
     for n in range(n_max + 1, 0, -1):
         if n <= n_max:
@@ -471,7 +469,7 @@ def _case_chromatic(n: int) -> str:
     return ""
 
 
-def _models_tasks(n_max: int, *_) -> list[tuple]:
+def _models_tasks(n_max: int) -> list[tuple]:
     tasks = []
     for n in range(n_max, 0, -1):
         tasks += [("231-avoidance n=%d" % n, _case_avoidance, n),
@@ -482,9 +480,8 @@ def _models_tasks(n_max: int, *_) -> list[tuple]:
     return tasks
 
 
-# tasks: (n_max, instances, seed) -> [(key, case function, args)], largest n
-# first; below least_n_max a suite has no case (quasisym and models start at
-# n = 1), or cannot draw a word (_random_word draws n from 2..n_max)
+# tasks: n_max -> [(key, case function, args)], largest n first; below least_n_max a suite
+# has no case (quasisym and models start at n = 1), or cannot draw a word (_random_word: n >= 2)
 _Suite = namedtuple("_Suite", ("tasks", "default_n_max", "least_n_max"))
 
 
@@ -500,26 +497,22 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def suite_bound(name: str, n_max: int | None = None, instances: int = 200) -> int:
-    """The n_max that run_suite uses for a suite.  A bound or instance count
-    under which the suite would run no case, or could not draw a word, is a
-    ValueError: a suite with no cases would pass vacuously."""
+def suite_bound(name: str, n_max: int | None = None) -> int:
+    """The n_max that run_suite uses for a suite.  A bound under which the
+    suite would run no case, or could not draw a word, is a ValueError: a
+    suite with no cases would pass vacuously."""
     if name not in _SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
     bound = n_max if n_max is not None else _SUITES[name].default_n_max
     least = _SUITES[name].least_n_max
     if bound < least:
         raise ValueError("n_max for suite %s must be at least %d, got %d" % (name, least, bound))
-    if name == "insertion-lemmas" and instances < 1:
-        raise ValueError("instances must be at least 1, got %d" % instances)
     return bound
 
 
-def run_suite(name: str, n_max: int | None = None, instances: int = 200,
-              seed: int = 0) -> VerificationReport:
-    """Run every case of a suite; instances and seed are read by
-    insertion-lemmas alone."""
-    bound = suite_bound(name, n_max, instances)
+def run_suite(name: str, n_max: int | None = None) -> VerificationReport:
+    """Run every case of a suite."""
+    bound = suite_bound(name, n_max)
     start = time.perf_counter()
-    cases = _run_cases(_SUITES[name].tasks(bound, instances, seed))
+    cases = _run_cases(_SUITES[name].tasks(bound))
     return VerificationReport(name, bound, cases, time.perf_counter() - start)

@@ -127,17 +127,15 @@ class SegmentedSmirnovWord(_Record):
         return self.text()
 
 
-EMPTY_WORD = SegmentedSmirnovWord((), ())
-
-
 def letter_content(letters: Sequence[int], bound: int = None) -> tuple:
     """Weak composition: entry i-1 is the multiplicity of letter i, over the
     letters 1..bound when a bound is given, else with trailing zeros trimmed."""
     top = max(letters) if letters else 0  # faster than max(default=0) on CPython 3.11
     if bound is None:
         bound = top
-    if top > bound or (letters and min(letters) < 1):  # else an index would overrun or wrap
-        raise ValueError("letters must lie in 1..%r, got %r" % (bound, tuple(letters)))
+    # else [0] * True would count the letter 1, or an index would overrun or wrap
+    if type(bound) is not int or top > bound or (letters and min(letters) < 1):
+        raise ValueError("letters must lie in 1..%r (an int), got %r" % (bound, tuple(letters)))
     mu = [0] * bound
     for letter in letters:
         if type(letter) is not int:  # True would count as the letter 1
@@ -261,8 +259,17 @@ def _depth_first(root, children) -> Iterator:
             stack.pop()
 
 
+def _sizes(**sizes) -> None:
+    """Refuse each size or bound that is not a nonnegative int proper, bools included."""
+    for name, n in sizes.items():
+        if type(n) is not int or n < 0:
+            raise ValueError("%s must be a nonnegative int, got %r" % (name, n))
+
+
 def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, parts weakly decreasing, largest first part first."""
+    _sizes(n=n)
+
     def children(node):
         parts, remaining, cap = node
         if remaining <= cap:
@@ -270,7 +277,7 @@ def partitions_of(n: int) -> Iterator[tuple]:
             cap = remaining - 1
         for part in range(cap, 0, -1):
             yield (parts + (part,), remaining - part, part), False
-    return _depth_first(((), n, n), children) if n > 0 else iter([()] if n == 0 else [])
+    return _depth_first(((), n, n), children) if n else iter([()])
 
 
 def _trim(mu: Sequence[int]) -> tuple:
@@ -333,6 +340,7 @@ def enumerate_words(mu: Sequence[int]) -> Iterator[SegmentedSmirnovWord]:
 def words_of_length(n: int, bound: int) -> Iterator[SegmentedSmirnovWord]:
     """All segmented Smirnov words with n letters from 1..bound, lexicographic by
     letters then shape."""
+    _sizes(n=n, bound=bound)
     for letters in itertools.product(range(1, bound + 1), repeat=n):
         for shape in shapes_for(letters):
             yield SegmentedSmirnovWord(letters, shape)

@@ -194,12 +194,10 @@ class TestVerify:
         # each of these used to pass vacuously ("0 passed, 0 failed", exit 0)
         (["--suite", "equidistribution", "--n-max", "-3"], "at least 0, got -3"),
         (["--suite", "models", "--n-max", "0"], "at least 1, got 0"),
-        (["--suite", "insertion-lemmas", "--instances", "-5"], "at least 1, got -5"),
         # this one used to end in a raw "empty range for randrange()" traceback
         (["--suite", "insertion-lemmas", "--n-max", "1"], "at least 2, got 1"),
         (["--suite", "all", "--n-max", "1"], "insertion-lemmas must be at least 2"),
-    ], ids=["negative-n-max", "models-n-max-0", "negative-instances",
-            "insertion-n-max-1", "all-n-max-1"])
+    ], ids=["negative-n-max", "models-n-max-0", "insertion-n-max-1", "all-n-max-1"])
     def test_bounds_without_cases_are_usage_errors(self, args, message):
         result = run("verify", *args)
         assert result.exit_code == 2
@@ -308,3 +306,11 @@ def test_memo_file_is_not_an_option(tmp_path, command):
     assert result.exit_code == 2
     assert "No such option" in result.output and "--memo-file" in result.output
     assert not memo.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--instances", "5"), ("--seed", "1")])
+def test_verify_sample_is_not_an_option(option, value):
+    # the insertion-lemmas sample is fixed: a report depends on its suite and bound alone
+    result = run("verify", "--suite", "insertion-lemmas", "--n-max", "3", option, value)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option in result.output

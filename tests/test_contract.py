@@ -129,10 +129,10 @@ def test_plain_data_raises_only_type_and_value_errors(name, data):
 
 @pytest.mark.parametrize("name, args, error", [
     # each ran until memory ran out: the walk never reached a length of 1.5
-    ("models.single_block_words", (1.5, 2), TypeError),
-    ("models.chromatic_path_enumerator", (1.5, 3), TypeError),
-    ("models.enumerate_set_partitions", (1.5,), TypeError),
-    ("models.enumerate_noncrossing", (1.5,), TypeError),
+    ("models.single_block_words", (1.5, 2), ValueError),
+    ("models.chromatic_path_enumerator", (1.5, 3), ValueError),
+    ("models.enumerate_set_partitions", (1.5,), ValueError),
+    ("models.enumerate_noncrossing", (1.5,), ValueError),
     # an AttributeError
     ("words.parse_word", (2,), TypeError),
     # IndexErrors, or a list index that wrapped round to a silent answer
@@ -152,6 +152,23 @@ def test_plain_data_raises_only_type_and_value_errors(name, data):
     # Python's TypeError from a list index or a range, where an int is checked
     ("words.letter_content", ((1.5, 2),), ValueError),
     ("models.catalan", (1.5,), ValueError),
+    # an IndexError
+    ("qengine.histogram_poly", ({-1: 1},), ValueError),
+    # answers: True was read as the size or bound 1
+    ("words.letter_content", ((1,), True), ValueError),
+    ("words.partitions_of", (True,), ValueError),
+    ("words.words_of_length", (True, 2), ValueError),
+    ("words.words_of_length", (2, True), ValueError),
+    ("models.single_block_words", (True, 2), ValueError),
+    ("models.single_block_words", (2, True), ValueError),
+    ("models.enumerate_set_partitions", (True,), ValueError),
+    ("models.enumerate_noncrossing", (True,), ValueError),
+    ("models.chromatic_path_enumerator", (True, 2), ValueError),
+    ("models.enumerate_area0_polyominoes", (1, 1, True), ValueError),
+    ("quasisym.monomials_of_fundamental", ((), 2, True), ValueError),
+    ("qengine.cells", (True,), ValueError),
+    # an empty answer for a negative size
+    ("qengine.cells", (-2,), ValueError),
 ])
 def test_inputs_that_escaped_the_contract(name, args, error):
     with pytest.raises(error):

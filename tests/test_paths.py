@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smirnov.paths import (EMPTY_PATH, AreaZeroDecoratedPath,
-                           DecoratedLabelledDyckPath, area, area_word,
-                           enumerate_area0, path_dinv, phi, phi_inverse,
+from smirnov.paths import (AreaZeroDecoratedPath, DecoratedLabelledDyckPath, area,
+                           area_word, enumerate_area0, path_dinv, phi, phi_inverse,
                            unified_dinv)
 from smirnov.stats import sdinv_count
 from smirnov.words import enumerate_words, extract_maximal, parse_word
 
 from test_words import words
+
+EMPTY_PATH = AreaZeroDecoratedPath(())
 
 
 @st.composite

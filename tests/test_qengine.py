@@ -146,6 +146,12 @@ class TestQPolynomial:
         assert QPolynomial((1, 1)).times_q_power(2) == QPolynomial((0, 0, 1, 1))
         assert QPolynomial.zero().times_q_power(5) == QPolynomial.zero()
 
+    @pytest.mark.parametrize("k", [-1, True])
+    def test_q_power_must_be_a_nonnegative_int(self, k):
+        # -1 returned 1+2q unchanged, True returned q+2q^2
+        with pytest.raises(ValueError, match="k must be a nonnegative int"):
+            QPolynomial([1, 2]).times_q_power(k)
+
     def test_int_comparison(self):
         assert QPolynomial((5,)) == 5
         assert QPolynomial.zero() == 0
@@ -515,6 +521,12 @@ class TestRecursion:
         shown = repr(args[0]) if name == "hilbert_table" else repr(args[:3])
         with pytest.raises(ValueError, match="must be .*ints?, got %s$" % re.escape(shown)):
             getattr(qengine, name)(*args)
+
+    @pytest.mark.parametrize("counts", [{-2: 1, 3: 1}, {True: 1}])
+    def test_histogram_exponents_must_be_nonnegative_ints(self, counts):
+        # these answered q^2+q^3 (q^-2 through a negative list index) and q
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            qengine.histogram_poly(counts)
 
     def test_cells(self):
         assert qengine.cells(0) == [(0, 0)]

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 
 from smirnov.stats import (OrderedMultisetPartition, omp_dinv, omp_inv, project, sdinv,
                            sdinv_count, sminv, sminv_count)
-from smirnov.words import (EMPTY_WORD, PEAK, classify, enumerate_words, occurrence_roles,
-                           parse_word, set_sequences, words_of_length)
+from smirnov.words import (PEAK, SegmentedSmirnovWord, classify, enumerate_words,
+                           occurrence_roles, parse_word, set_sequences, words_of_length)
 
 from test_words import initial_positions, words
+
+EMPTY_WORD = SegmentedSmirnovWord((), ())
 
 
 def height_array(w, m):

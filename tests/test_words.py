@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 import smirnov
 from smirnov.quasisym import standardize
-from smirnov.words import (EMPTY_WORD, InsertionRecord, SegmentedSmirnovWord, classify,
-                           enumerate_words, enumerate_words_by_stat, extract_maximal,
-                           insert_many, letter_content, parse_word, partitions_of,
-                           set_sequences, words_of_length)
+from smirnov.words import (InsertionRecord, SegmentedSmirnovWord, classify, enumerate_words,
+                           enumerate_words_by_stat, extract_maximal, insert_many,
+                           letter_content, parse_word, partitions_of, set_sequences,
+                           words_of_length)
+
+EMPTY_WORD = SegmentedSmirnovWord((), ())
 
 
 @st.composite
@@ -414,8 +416,9 @@ class TestDepthFirst:
         assert not found, found
 
     def test_every_public_definition_is_read_outside_the_tests(self):
-        # a public function, class, method or property that only tests call is
-        # dead weight; click commands are reached through their decorator
+        # a public function, class, method, property or module-level name that
+        # only tests read is dead weight; click commands are reached through
+        # their decorator
         package = pathlib.Path(smirnov.__file__).parent
         root = pathlib.Path(__file__).resolve().parents[1]
         trees = {path: ast.parse(path.read_text(), filename=str(path))
@@ -424,8 +427,9 @@ class TestDepthFirst:
         read = set()
         for tree in trees.values():
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
+                if isinstance(node, ast.Name):  # an assignment's own target is a store
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
                 elif isinstance(node, ast.alias):
@@ -440,6 +444,14 @@ class TestDepthFirst:
                         and not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
                                     and d.func.attr == "command" for d in node.decorator_list)):
                     found.append("%s:%d %s" % (path.name, node.lineno, node.name))
+            for node in trees[path].body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    for name in (target.elts if isinstance(target, ast.Tuple) else [target]):
+                        if (isinstance(name, ast.Name) and not name.id.startswith("_")
+                                and name.id not in read):
+                            found.append("%s:%d %s" % (path.name, node.lineno, name.id))
         assert not found, found
 
     def test_import_graph(self):
