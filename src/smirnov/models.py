@@ -107,14 +107,6 @@ def _labelled_cells(upper: str, lower: str) -> list[tuple]:
     return sorted(cells)
 
 
-def _region_cells(upper: str, lower: str) -> list[tuple]:
-    """All cells weakly between the two paths."""
-    width = upper.count("E")
-    uy = _strip_heights(upper, width)
-    ly = _strip_heights(lower, width)
-    return [(x, y) for x in range(width) for y in range(ly[x], uy[x])]
-
-
 def _gap_fault(upper: str, lower: str) -> str:
     """Why the upper path does not stay strictly above the lower one, or "".
 
@@ -132,21 +124,17 @@ def _gap_fault(upper: str, lower: str) -> str:
 
 
 def _area_zero(upper: str, lower: str) -> bool:
-    """Every cell between the paths is a labelled cell."""
-    return set(_region_cells(upper, lower)) == set(_labelled_cells(upper, lower))
+    """Every cell between the paths is a labelled cell.
+
+    Only for paths that meet at their ends alone (_gap_fault gives ""): then
+    every labelled cell lies between them, and the cells between them are as
+    many as the area under the upper path less the area under the lower."""
+    return _area_under(upper) - _area_under(lower) == len(_labelled_cells(upper, lower))
 
 
-def _strip_heights(path: str, width: int) -> list:
-    """Height of the path over each vertical strip [x, x+1]."""
-    heights = [None] * width
-    x = y = 0
-    for s in path:
-        if s == "N":
-            y += 1
-        else:
-            heights[x] = y
-            x += 1
-    return heights
+def _area_under(path: str) -> int:
+    """Cells under the path: its height summed over its east steps."""
+    return sum(path.count("N", 0, i) for i, s in enumerate(path) if s == "E")
 
 
 def smirnov_to_polyomino(w: SegmentedSmirnovWord) -> LabelledPolyomino:
@@ -217,6 +205,7 @@ def _labelings(cells: Sequence[tuple], bound: int) -> Iterator[tuple]:
 
 def is_231_avoiding(perm: Sequence[int]) -> bool:
     """No i < j < k with perm_k < perm_i < perm_j."""
+    perm = tuple(perm)
     n = len(perm)
     for i in range(n):
         for j in range(i + 1, n):

@@ -98,8 +98,7 @@ class DecoratedLabelledDyckPath(_Record):
                 "drise": sorted(self.drise), "dvalley": sorted(self.dvalley)}
 
 
-def area_word(D) -> tuple:
-    D = _as_steps(D)
+def area_word(D: DecoratedLabelledDyckPath) -> tuple:
     out = []
     x = y = 0
     for s in D.steps:
@@ -111,15 +110,13 @@ def area_word(D) -> tuple:
     return tuple(out)
 
 
-def area(D) -> int:
-    D = _as_steps(D)
+def area(D: DecoratedLabelledDyckPath) -> int:
     a = area_word(D)
     return sum(a[i - 1] for i in range(1, D.n + 1) if i not in D.drise)
 
 
-def path_dinv(D) -> int:
+def path_dinv(D: DecoratedLabelledDyckPath) -> int:
     """Primary + secondary diagonal inversions minus the decorated valley count."""
-    D = _as_steps(D)
     a = area_word(D)
     labels = D.labels
     total = 0
@@ -203,12 +200,6 @@ class AreaZeroDecoratedPath(_Record):
 
     def __str__(self) -> str:
         return self.text()
-
-
-def _as_steps(D) -> DecoratedLabelledDyckPath:
-    if isinstance(D, AreaZeroDecoratedPath):
-        return D.to_steps()
-    return D
 
 
 def phi(w: SegmentedSmirnovWord) -> AreaZeroDecoratedPath:

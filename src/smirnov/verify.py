@@ -11,7 +11,6 @@ import random
 import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 
 from . import models, paths, quasisym
 from .qengine import (QPolynomial, cells, histogram_poly, q_binomial, sf_h_coefficient,
@@ -90,6 +89,8 @@ def _run_cases(tasks: list[tuple]) -> list[CaseResult]:
     timed where it runs.  The results come back sorted by key."""
     workers = min(len(tasks), _cpus())
     if workers > 1:
+        # here, not at the top: the other commands need no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_timed, tasks))
     else:
@@ -225,7 +226,7 @@ def _case_bijection_mu(mu: tuple) -> str:
         return "unified dinv sum: " + witness
     for D in images:
         k, l = D.rise_count(), D.valley_count()
-        if (k == 0 or l == 0) and paths.unified_dinv(D) != paths.path_dinv(D):
+        if (k == 0 or l == 0) and paths.unified_dinv(D) != paths.path_dinv(D.to_steps()):
             return "classical dinv mismatch on %s (k=%d l=%d)" % (D, k, l)
     return ""
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import itertools
 import json
 import os
@@ -30,6 +31,19 @@ def test_module_runs_as_a_process():
                                 text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         assert line in result.stdout.splitlines()
+
+
+def test_import_loads_no_process_pool():
+    # only smirnov verify starts a pool; multiprocessing cost every other
+    # command about 10 ms of import.  No -S: click is a site package
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import smirnov.cli, sys; "
+         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert result.stdout.strip() == "[]"
 
 
 class TestEnumerate:
@@ -136,12 +150,12 @@ def pools(monkeypatch):
     """The worker counts of the process pools the suites start."""
     started = []
 
-    class Pool(verify.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return started
 
 

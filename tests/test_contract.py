@@ -111,6 +111,7 @@ def _nested(atoms, depth):
 
 JUNK = _nested(st.one_of(st.integers(-1, 3), st.booleans(), st.floats(-1, 3),
                          st.sampled_from(["", "1", "a", "NE", "EN", "12|1", "1,2|3"]),
+                         st.dictionaries(st.integers(-1, 3), st.integers(-1, 3), max_size=3),
                          st.none()), depth=3)
 
 

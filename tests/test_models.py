@@ -141,6 +141,11 @@ class TestAvoidance:
         assert not is_231_avoiding((2, 3, 1))
         assert is_231_avoiding((5, 2, 1, 4, 3))
 
+    def test_a_mapping_is_read_by_its_keys(self):
+        # indexing it raised KeyError: 1
+        assert is_231_avoiding({0: 0, 2: 0}) and is_231_avoiding({1: 2, 2: 1})
+        assert not is_231_avoiding({2: 0, 3: 0, 1: 0})
+
     def test_catalan_oracle(self):
         assert [catalan(n) for n in range(1, 9)] == [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -260,6 +265,11 @@ class TestPolyomino:
     def test_requires_single_block(self):
         with pytest.raises(ValueError):
             smirnov_to_polyomino(parse_word("21|1"))
+
+    def test_an_interior_cell_is_not_area_zero(self):
+        # 2 x 2, with the cell (1, 1) between the paths and unlabelled
+        p = LabelledPolyomino("NNEE", "EENN", ((0, 0, 2), (0, 1, 3), (1, 0, 1)))
+        assert not p.is_area_zero()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_bijection_exhaustive(self, n):

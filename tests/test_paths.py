@@ -215,7 +215,7 @@ class TestBijection:
     def test_classical_dinv_on_undecorated_families(self, mu):
         for D in enumerate_area0(mu):
             if D.rise_count() == 0 or D.valley_count() == 0:
-                assert unified_dinv(D) == path_dinv(D)
+                assert unified_dinv(D) == path_dinv(D.to_steps())
 
     @given(words())
     @settings(max_examples=80, deadline=None)
