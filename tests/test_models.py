@@ -290,6 +290,10 @@ class TestPolyominoRejection:
         with pytest.raises(ValueError, match="strictly above"):
             LabelledPolyomino("NENE", "ENEN", ((0, 0, 1), (1, 1, 1)))
 
+    def test_paths_with_different_endpoints(self):
+        with pytest.raises(ValueError, match="^paths must share their endpoints$"):
+            LabelledPolyomino("NE", "NNEE", ())
+
     def test_lower_path_above_the_upper_path(self):
         with pytest.raises(ValueError, match="^upper path must stay above"):
             LabelledPolyomino("EN", "NE", ((0, 1, 1), (1, 0, 1)))

@@ -3,6 +3,7 @@ insertion bijection from segmented Smirnov words."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -78,6 +79,38 @@ class TestStepForm:
     def test_labels_must_be_positive_integers(self, label):
         with pytest.raises(ValueError, match="^labels must be positive integers$"):
             DecoratedLabelledDyckPath("NE", (label,), (), ())
+
+    @pytest.mark.parametrize("args, message", [
+        (("NNE", (1, 2), (), ()), "path must have equally many N and E steps"),
+        (("NE", (1, 2), (), ()), "expected 1 labels"),
+    ])
+    def test_counts_must_match(self, args, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            DecoratedLabelledDyckPath(*args)
+
+    @pytest.mark.parametrize("steps, labels, dvalley", [
+        # no such vertical step
+        ("NENE", (1, 2), 0), ("NENE", (1, 2), 3), ("NENE", (1, 2), 1.5),
+        # vertical step 1 follows no east step; vertical step 2 of NNEE
+        # follows a north step
+        ("NENE", (1, 2), 1), ("NNEE", (1, 2), 2),
+        # one east step after a north step with a larger label
+        ("NENE", (2, 1), 2),
+    ])
+    def test_valley_must_be_contractible(self, steps, labels, dvalley):
+        with pytest.raises(ValueError, match="^decorated valley %s is not a contractible valley$"
+                           % re.escape(repr(dvalley))):
+            DecoratedLabelledDyckPath(steps, labels, (), (dvalley,))
+
+    @pytest.mark.parametrize("steps, labels, drise, dvalley", [
+        # one east step after a north step with a smaller label
+        ("NENE", (1, 2), (), (2,)),
+        # two east steps before vertical step 3
+        ("NNEENE", (1, 2, 3), (2,), (3,)),
+    ])
+    def test_contractible_valleys_are_accepted(self, steps, labels, drise, dvalley):
+        D = DecoratedLabelledDyckPath(steps, labels, drise, dvalley)
+        assert (D.drise, D.dvalley) == (frozenset(drise), frozenset(dvalley))
 
     @pytest.mark.parametrize("entry", [2.0, "a", True])
     def test_decorations_must_be_integers(self, entry):

@@ -573,6 +573,17 @@ class TestInsertion:
         with expected:
             insert_many(parse_word(word), 2, **{kind: entries})
 
+    @pytest.mark.parametrize("word, sites, message", [
+        ("1|2", {"peaks": [2]}, "peak separator 2 out of range 1..1"),
+        ("1|2", {"rises": [3]}, "rise block 3 out of range 1..2"),
+        ("1|2", {"falls": [0]}, "fall block 0 out of range 1..2"),
+        ("1|2", {"gaps": [1]}, "gaps must list 3 nonnegative counts"),
+        ("13|2", {"rises": [1]}, "block 1 already ends with m=3"),
+    ])
+    def test_sites_out_of_range(self, word, sites, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            insert_many(parse_word(word), 3, **sites)
+
     def test_equal_max_rejected_when_adjacent(self):
         w = parse_word("41|13")
         with pytest.raises(ValueError):
