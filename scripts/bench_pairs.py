@@ -30,16 +30,23 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, size: str) -> dict:
     """The JSON result line of one `bench/run.py --trace 0` run in `root`,
-    with "passes" added: the pass count its first line reports."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0", "--size", size],
-        cwd=root, env=env, capture_output=True, text=True)
+    with "passes" added: the pass count its first line reports.
+
+    The run, and the set-up probes it starts, read and write bytecode only in
+    an empty cache of their own, so every run compiles the source: a
+    __pycache__ in root, from a test run say, would be read otherwise, even
+    under PYTHONDONTWRITEBYTECODE."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0", "--size", size],
+            cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode:
         sys.exit("bench in %s failed:\n%s" % (root, proc.stderr))
     lines = proc.stdout.splitlines()
@@ -160,8 +167,8 @@ def main() -> None:
                                     else " --size " + args.size),
         "protocol": "alternating pairs, each side run from its own checkout of the same bench/ "
                     "code: the parent first in odd pairs, the change first in even pairs; one "
-                    "process at a time; PYTHONDONTWRITEBYTECODE=1, so every run compiles the "
-                    "source",
+                    "process at a time; PYTHONDONTWRITEBYTECODE=1 and a fresh empty "
+                    "PYTHONPYCACHEPREFIX per run, so every run compiles the source",
         "host": "%d-core %s %s, %s %s" % (len(os.sched_getaffinity(0)), platform.machine(),
                                           platform.system(), platform.python_implementation(),
                                           platform.python_version()),

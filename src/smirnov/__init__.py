@@ -5,8 +5,7 @@ from .paths import (AreaZeroDecoratedPath, DecoratedLabelledDyckPath, area, area
                     enumerate_area0, path_dinv, phi, phi_inverse, unified_dinv)
 from .qengine import (QPolynomial, SfCoefficientTable, hilbert_table, q_binomial,
                       sf_h_coefficient, standard_q_count)
-from .quasisym import (FundamentalTerm, expand_to_monomials, fundamental_expansion,
-                       split_set, standardize)
+from .quasisym import expand_to_monomials, fundamental_expansion, split_set, standardize
 from .stats import (InversionReport, OrderedMultisetPartition, omp_dinv, omp_inv, project,
                     sdinv, sdinv_count, sminv, sminv_count)
 from .words import (PositionProfile, SegmentedSmirnovWord, classify, enumerate_words,
@@ -15,8 +14,8 @@ from .words import (PositionProfile, SegmentedSmirnovWord, classify, enumerate_w
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaZeroDecoratedPath", "DecoratedLabelledDyckPath", "FundamentalTerm",
-    "InversionReport", "OrderedMultisetPartition", "PositionProfile", "QPolynomial",
+    "AreaZeroDecoratedPath", "DecoratedLabelledDyckPath", "InversionReport",
+    "OrderedMultisetPartition", "PositionProfile", "QPolynomial",
     "SegmentedSmirnovWord", "SfCoefficientTable", "area", "area_word", "classify",
     "enumerate_area0", "enumerate_words", "enumerate_words_by_stat", "expand_to_monomials",
     "fundamental_expansion", "hilbert_table", "omp_dinv", "omp_inv", "parse_word",

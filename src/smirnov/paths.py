@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 from operator import lt
 
 from .stats import sdinv_count
@@ -49,49 +48,29 @@ class DecoratedLabelledDyckPath(_Record):
                 x += 1
             if x > y:
                 raise ValueError("path dips below the diagonal")
+        vp = [p for p, s in enumerate(steps) if s == "N"]  # step position of each vertical step
+        rises = set()  # vertical steps right after a vertical step
         for i in range(1, n):
-            if self.vertical_positions[i] == self.vertical_positions[i - 1] + 1 \
-                    and self.labels[i] <= self.labels[i - 1]:
-                raise ValueError("labels on consecutive north steps must increase "
-                                 "(vertical steps %d, %d)" % (i, i + 1))
-        rises = self.rise_set()
+            if vp[i] == vp[i - 1] + 1:
+                if self.labels[i] <= self.labels[i - 1]:
+                    raise ValueError("labels on consecutive north steps must increase "
+                                     "(vertical steps %d, %d)" % (i, i + 1))
+                rises.add(i + 1)
         for i in self.drise:
             if type(i) is not int or i not in rises:
                 raise ValueError("decorated rise %r is not a rise" % (i,))
+        # a valley is a vertical step after an east step; it is contractible
+        # when two east steps come before it, or one after a north step with a
+        # smaller label
         for i in self.dvalley:
-            if type(i) is not int or not self.is_contractible_valley(i):
+            p = vp[i - 1] if type(i) is int and 1 <= i <= n else 0
+            if p < 2 or steps[p - 1] != "E" or \
+                    steps[p - 2] == "N" and self.labels[i - 2] >= self.labels[i - 1]:
                 raise ValueError("decorated valley %r is not a contractible valley" % (i,))
-
-    @cached_property
-    def vertical_positions(self) -> tuple:
-        """0-based step-string position of each vertical step."""
-        return tuple(p for p, s in enumerate(self.steps) if s == "N")
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def rise_set(self) -> frozenset:
-        """Vertical steps immediately preceded by a vertical step."""
-        vp = self.vertical_positions
-        return frozenset(i + 1 for i in range(1, len(vp)) if vp[i] == vp[i - 1] + 1)
-
-    def is_contractible_valley(self, i: int) -> bool:
-        """Valley: preceded by an east step; contractible if preceded by two
-        east steps, or by one east step preceded by a smaller-labelled north step."""
-        if not 1 <= i <= self.n:
-            return False
-        p = self.vertical_positions[i - 1]
-        if p == 0 or self.steps[p - 1] != "E":
-            return False
-        if p >= 2 and self.steps[p - 2] == "E":
-            return True
-        if p >= 2 and self.steps[p - 2] == "N":
-            return self.labels[i - 2] < self.labels[i - 1]
-        return False
-
-    def content(self) -> tuple:
-        return letter_content(self.labels)
 
     def to_json(self) -> dict:
         return {"steps": self.steps, "labels": list(self.labels),
@@ -131,6 +110,12 @@ def path_dinv(D: DecoratedLabelledDyckPath) -> int:
     return total - len(D.dvalley)
 
 
+def _contractible(prev: tuple, first: int) -> bool:
+    """Whether the valley of a column with bottom label first, after the
+    column prev, is contractible: prev has two or more labels or ends below first."""
+    return len(prev) >= 2 or prev[-1] < first
+
+
 class AreaZeroDecoratedPath(_Record):
     """Block form of an area-0 path: columns (labels, valley_decorated)."""
 
@@ -152,12 +137,8 @@ class AreaZeroDecoratedPath(_Record):
         if cols and cols[0][1]:
             raise ValueError("the first column cannot be a decorated valley")
         for c, ((prev, _), (labels, flag)) in enumerate(zip(cols, cols[1:]), start=2):
-            if flag and len(prev) < 2 and prev[-1] >= labels[0]:
+            if flag and not _contractible(prev, labels[0]):
                 raise ValueError("decorated valley at column %d is not contractible" % c)
-
-    @property
-    def n(self) -> int:
-        return sum(len(labels) for labels, _ in self.columns)
 
     def labels(self) -> tuple:
         return tuple(itertools.chain.from_iterable(labels for labels, _ in self.columns))
@@ -313,6 +294,6 @@ def enumerate_area0(mu: Sequence[int]) -> Iterator[AreaZeroDecoratedPath]:
     for seq in set_sequences(mu):
         options = [(False,)]
         for prev, col in zip(seq, seq[1:]):
-            options.append((False, True) if len(prev) >= 2 or prev[-1] < col[0] else (False,))
+            options.append((False, True) if _contractible(prev, col[0]) else (False,))
         for flags in itertools.product(*options):
             yield AreaZeroDecoratedPath(tuple(zip(seq, flags)))

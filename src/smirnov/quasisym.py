@@ -4,11 +4,11 @@ quasisymmetric expansion of the standard-word enumerator."""
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .qengine import QPolynomial
 from .stats import sminv_count, stat_distributions
-from .words import (FALL, SegmentedSmirnovWord, _Record, _sizes, block_starts,
+from .words import (FALL, SegmentedSmirnovWord, _sizes, block_starts,
                     enumerate_words_by_stat, letter_content, occurrence_roles, words_of_length)
 
 
@@ -69,43 +69,20 @@ def fiber_condition(sigma: SegmentedSmirnovWord, w: SegmentedSmirnovWord) -> boo
     return True
 
 
-def composition_from_split(split: Iterable[int], n: int) -> tuple:
-    """The composition of n whose partial sums are the split set."""
-    sums = sorted(split)
-    if sums and (sums[0] < 1 or sums[-1] >= n):
-        raise ValueError("split set must lie in 1..n-1")
-    parts = []
-    prev = 0
-    for s in sums + [n]:
-        if type(s) is not int:
-            raise ValueError("split set and n must be integers, got %r" % (s,))
-        parts.append(s - prev)
-        prev = s
-    return tuple(parts)
-
-
-class FundamentalTerm(_Record):
-    """q^sminv-aggregated coefficient of one fundamental quasisymmetric function."""
-
-    _fields = ("composition", "coefficient")
-
-    def __init__(self, composition: tuple, coefficient: QPolynomial):
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "coefficient", coefficient)
-
-    @property
-    def split(self) -> frozenset:
-        return frozenset(itertools.accumulate(self.composition[:-1]))
-
-
-def fundamental_expansion(n: int, k: int, l: int) -> list[FundamentalTerm]:
-    """Group q^sminv over segmented permutations with k ascents, l descents by
-    the composition of their split set."""
+def fundamental_expansion(n: int, k: int, l: int) -> dict[tuple, QPolynomial]:
+    """{composition α of n: coefficient of F_α}, sorted by α: q^sminv over the
+    segmented permutations with k ascents and l descents, grouped by the
+    composition whose partial sums are their split set."""
+    _sizes(n=n)
     if n > 0 and k + l >= n:
         raise ValueError("fundamental_expansion requires k+l < n")
     [groups] = stat_distributions(enumerate_words_by_stat((1,) * n, k, l), sminv_count,
-                                  key=lambda sigma: composition_from_split(split_set(sigma), n))
-    return [FundamentalTerm(comp, coeff) for comp, coeff in sorted(groups.items())]
+                                  key=split_set)
+    out = {}
+    for split, coeff in groups.items():
+        ends = sorted(split) + [n] if n else []  # the composition of 0 is ()
+        out[tuple(b - a for a, b in zip([0] + ends, ends))] = coeff
+    return dict(sorted(out.items()))
 
 
 def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
@@ -120,14 +97,14 @@ def monomials_of_fundamental(split: Iterable[int], n: int, bound: int):
             yield letter_content(seq, bound)
 
 
-def expand_to_monomials(terms: Sequence[FundamentalTerm],
+def expand_to_monomials(terms: dict[tuple, QPolynomial],
                         alphabet_bound: int) -> dict[tuple, QPolynomial]:
-    """Monomial expansion of a sum of fundamental terms over x_1..x_bound."""
+    """Monomial expansion over x_1..x_bound of a sum {α: coefficient of F_α}."""
     out: dict[tuple, QPolynomial] = {}
-    for term in terms:
-        n = sum(term.composition)
-        for exps in monomials_of_fundamental(term.split, n, alphabet_bound):
-            out[exps] = out.get(exps, QPolynomial.zero()) + term.coefficient
+    for composition, coeff in terms.items():
+        split = itertools.accumulate(composition[:-1])
+        for exps in monomials_of_fundamental(split, sum(composition), alphabet_bound):
+            out[exps] = out.get(exps, QPolynomial.zero()) + coeff
     return {e: p for e, p in out.items() if p}
 
 

@@ -59,6 +59,17 @@ class TestEnumerate:
         assert result.exit_code == 0
         assert set(result.output.split()) == {"1|12", "12|1"}
 
+    def test_words_json(self):
+        result = run("enumerate", "--mu", "2,1", "--k", "1", "--l", "0", "--format", "json")
+        assert result.exit_code == 0
+        assert [json.loads(line) for line in result.output.splitlines()] == [
+            {"letters": [1, 1, 2], "shape": [1, 2]}, {"letters": [1, 2, 1], "shape": [2, 1]}]
+
+    def test_paths_filtered(self):
+        result = run("enumerate", "--mu", "2,1", "--kind", "paths", "--k", "1", "--l", "0")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["1 1,2", "1,2 1"]
+
     def test_paths_json(self):
         result = run("enumerate", "--mu", "2,1", "--kind", "paths", "--format", "json")
         assert result.exit_code == 0

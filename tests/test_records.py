@@ -12,7 +12,6 @@ import pytest
 from smirnov.models import LabelledPolyomino, NoncrossingPartition, smirnov_to_polyomino
 from smirnov.paths import AreaZeroDecoratedPath, DecoratedLabelledDyckPath, phi
 from smirnov.qengine import QPolynomial
-from smirnov.quasisym import FundamentalTerm, fundamental_expansion
 from smirnov.stats import InversionReport, OrderedMultisetPartition, project, sminv
 from smirnov.verify import CaseResult, VerificationReport
 from smirnov.words import (InsertionRecord, PositionProfile, SegmentedSmirnovWord, classify,
@@ -30,7 +29,6 @@ RECORDS = [
     (OrderedMultisetPartition, lambda: project(parse_word(WORD)), "blocks"),
     (DecoratedLabelledDyckPath, lambda: phi(parse_word(WORD)).to_steps(), "labels"),
     (AreaZeroDecoratedPath, lambda: phi(parse_word(WORD)), "columns"),
-    (FundamentalTerm, lambda: fundamental_expansion(4, 1, 1)[0], "coefficient"),
     (LabelledPolyomino, lambda: smirnov_to_polyomino(parse_word("2413")), "labels"),
     (NoncrossingPartition, lambda: NoncrossingPartition(((1, 4), (2, 3), (5,))), "blocks"),
     (CaseResult, lambda: CaseResult("noncrossing n=5", True), "witness"),

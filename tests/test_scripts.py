@@ -98,6 +98,27 @@ def test_bench_pairs_summary_keeps_the_runs_in_pair_order():
     assert wall["parent"]["runs"] == [40.1, 40.4, 40.2]
     assert wall["change"]["runs"] == [40.3, 40.0, 40.6]
 
+
+def test_bench_pairs_runs_compile_in_an_empty_cache_of_their_own(monkeypatch, tmp_path):
+    # PYTHONDONTWRITEBYTECODE alone still reads a checkout's __pycache__
+    module = _bench_pairs()
+    caches = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert os.path.isdir(cache) and not os.listdir(cache)
+        assert not os.path.realpath(cache).startswith(os.path.realpath(cwd) + os.sep)
+        caches.append(cache)
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout='coeff-table: 3 passes\n{"correct": true}\n')
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert module.run_bench(str(tmp_path), "coeff-table", 0, 1, "tiny") == {
+            "correct": True, "passes": 3}
+    assert caches[0] != caches[1] and not any(os.path.exists(c) for c in caches)
+
+
 def test_bench_pairs_check_runs_passes_equal_correct_runs():
     check_runs = _bench_pairs().check_runs
     pairs = [(_result(), _result()), (_result(), _result())]
